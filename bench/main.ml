@@ -24,11 +24,13 @@
            (supplementary)
      F13 — catalog churn: versioned epochs, partitioned re-ANALYZE and
            self-healing publishes under streamed deltas (supplementary)
+     F14 — inequality/band joins: estimated vs executed truth
+           (supplementary)
      F16 — degree-statistics estimators (LP2/DEGSEQ/ENT) vs executed truth
            on key chains, skewed stars and Section 8 (supplementary)
 
    Run with --quick to shrink T1/F1/F3 (used in CI-style smoke runs).
-   Passing experiment ids (e.g. `bench/main.exe f8 micro`) runs only
+   Passing experiment ids (e.g. `bench/main.exe f12 micro`) runs only
    those. *)
 
 let quick = Array.exists (String.equal "--quick") Sys.argv
@@ -36,7 +38,7 @@ let quick = Array.exists (String.equal "--quick") Sys.argv
 let experiment_ids =
   [
     "t1"; "t1-ablation"; "e1"; "s5"; "s6"; "f1"; "f2"; "f3"; "f4"; "f5"; "f6";
-    "f7"; "f8"; "f10"; "f11"; "f12"; "f13"; "f14"; "f16"; "micro";
+    "f7"; "f10"; "f11"; "f12"; "f13"; "f14"; "f16"; "micro";
   ]
 
 let selected =
@@ -140,108 +142,8 @@ let run_f6 () =
   let seeds = if quick then [ 1; 2; 3 ] else List.init 8 (fun i -> i + 1) in
   print_string (Harness.Accuracy.render (Harness.Accuracy.run ~seeds ()))
 
-(* F8: the tentpole measurement — DP-style enumeration over all 2ⁿ
-   left-deep prefixes, comparing the retained list-scan estimation path
-   (explicit joined-table lists, full working-conjunction scans, no memo
-   caches) against the indexed bitset hot path (per-table predicate index,
-   O(1) membership, memoized class selectivities). Both enumerate the same
-   states and must agree on the full-join size bit-for-bit. *)
-let run_f8 () =
-  section "F8: DP-enumeration hot path — indexed bitset vs list-scan baseline";
-  let sizes = if quick then [ 12 ] else [ 12; 14; 16 ] in
-  Printf.printf "%-4s %10s %12s %8s  %16s %14s\n" "n" "scan (s)" "indexed (s)"
-    "speedup" "cache hit/miss" "scans avoided";
-  List.iter
-    (fun n ->
-      let chain =
-        Datagen.Workload.chain ~rows_range:(100, 300) ~distinct_range:(20, 100)
-          ~seed:1 ~n_tables:n ()
-      in
-      (* [~kernel:false]: this experiment measures the {e interpreted}
-         indexed path against the scan baseline; the compiled tier has its
-         own experiment (F12). *)
-      let profile =
-        Els.prepare ~kernel:false Els.Config.els chain.Datagen.Workload.db
-          chain.Datagen.Workload.query
-      in
-      let names = Array.of_list chain.Datagen.Workload.query.Query.tables in
-      let full = (1 lsl n) - 1 in
-      let by_size = Array.make (n + 1) [] in
-      for mask = full downto 1 do
-        let c = Rel.Bits.popcount mask in
-        by_size.(c) <- mask :: by_size.(c)
-      done;
-      (* Baseline: joined-table string lists + per-step conjunction scans. *)
-      let t0 = Unix.gettimeofday () in
-      let states = Array.make (full + 1) None in
-      for i = 0 to n - 1 do
-        states.(1 lsl i) <-
-          Some
-            ( [ names.(i) ],
-              (Els.Profile.table profile names.(i)).Els.Profile.rows )
-      done;
-      for size = 1 to n - 1 do
-        List.iter
-          (fun mask ->
-            match states.(mask) with
-            | None -> ()
-            | Some (joined, rows) ->
-              for i = 0 to n - 1 do
-                if mask land (1 lsl i) = 0 then begin
-                  let next = names.(i) in
-                  let s =
-                    Els.Incremental.step_selectivity_scan profile joined next
-                  in
-                  let rows' =
-                    rows
-                    *. (Els.Profile.table profile next).Els.Profile.rows
-                    *. s
-                  in
-                  let mask' = mask lor (1 lsl i) in
-                  if states.(mask') = None then
-                    states.(mask') <- Some (joined @ [ next ], rows')
-                end
-              done)
-          by_size.(size)
-      done;
-      let scan_s = Unix.gettimeofday () -. t0 in
-      (* Indexed: bitset states, index probes, memoized selectivities. *)
-      Els.Profile.reset_cache_stats profile;
-      let t1 = Unix.gettimeofday () in
-      let istates = Array.make (full + 1) None in
-      for i = 0 to n - 1 do
-        istates.(1 lsl i) <- Some (Els.Incremental.start profile names.(i))
-      done;
-      for size = 1 to n - 1 do
-        List.iter
-          (fun mask ->
-            match istates.(mask) with
-            | None -> ()
-            | Some st ->
-              for i = 0 to n - 1 do
-                if mask land (1 lsl i) = 0 then begin
-                  let mask' = mask lor (1 lsl i) in
-                  let st' = Els.Incremental.extend profile st names.(i) in
-                  if istates.(mask') = None then istates.(mask') <- Some st'
-                end
-              done)
-          by_size.(size)
-      done;
-      let idx_s = Unix.gettimeofday () -. t1 in
-      (match (states.(full), istates.(full)) with
-      | Some (_, a), Some st when Float.equal a st.Els.Incremental.size -> ()
-      | _ -> failwith "F8: scan and indexed paths disagree on the full join");
-      let stats = Els.Profile.cache_stats profile in
-      Printf.printf "%-4d %10.3f %12.3f %7.1fx  %16s %14d\n" n scan_s idx_s
-        (scan_s /. idx_s)
-        (Printf.sprintf "%d/%d"
-           (stats.Els.Profile.sel_hits + stats.Els.Profile.group_hits)
-           (stats.Els.Profile.sel_misses + stats.Els.Profile.group_misses))
-        stats.Els.Profile.scans_avoided)
-    sizes
-
-(* F12: the compiled-kernel tier — the same DP-style enumeration over all
-   2ⁿ left-deep prefixes as F8, comparing the interpreted indexed path
+(* F12: the compiled-kernel tier — a DP-style enumeration over all 2ⁿ
+   left-deep prefixes, comparing the interpreted indexed path
    (Incremental.extend on a [~kernel:false] profile: state records,
    eligible-id lists, assoc grouping, memo-cache probes) against the
    compiled kernel (Kernel.extend_into over a flat float array of sizes:
@@ -374,40 +276,31 @@ let run_f12 () =
   Format.printf "%a" Obs.Metrics.pp (Obs.Metrics.snapshot registry);
   if !failures > 0 then exit 1
 
-(* F10: the estimator seam made visible — one row per registered
-   estimator over the Section 8 workload, straight from
-   Els.Estimator.registry. *)
+(* F10, F14, F16: one q-error panel engine (Harness.Qpanel) over three
+   scenario lists — the Section 8 workload, inequality/band joins, and the
+   degree-statistics workloads. Every scenario is non-empty by
+   construction, so a non-finite q-error fails the run. *)
+let run_panel id title scenarios =
+  section title;
+  let rows = Harness.Qpanel.run scenarios in
+  print_string (Harness.Qpanel.render rows);
+  if not (Harness.Qpanel.pass rows) then begin
+    Printf.printf "%s FAILED: non-finite q-error in the panel\n" id;
+    exit 1
+  end
+
 let run_f10 () =
-  section "F10: estimator panel over the Section 8 workload";
-  let scale = if quick then 20 else 10 in
-  print_string (Harness.Estimator_panel.render (Harness.Estimator_panel.run ~scale ()))
+  run_panel "F10" "F10: estimator panel over the Section 8 workload"
+    (Harness.Qpanel.section8 ~scale:(if quick then 20 else 10))
 
-(* F14: inequality and band joins — estimated (histogram-CDF convolution)
-   vs executed (generalized sort-merge) across the estimator registry.
-   Every scenario overlaps by construction, so a non-finite q-error is a
-   failure. *)
 let run_f14 () =
-  section "F14: inequality/band join panel — estimate vs executed truth";
-  let rows = Harness.Ineq_panel.run () in
-  print_string (Harness.Ineq_panel.render rows);
-  if not (Harness.Ineq_panel.pass rows) then begin
-    print_endline "F14 FAILED: non-finite q-error in the panel";
-    exit 1
-  end
+  run_panel "F14"
+    "F14: inequality/band join panel — estimate vs executed truth"
+    (Harness.Qpanel.comparison ())
 
-(* F16: the degree-statistics family — per-estimator q-error against the
-   executed truth on a key-join chain, a Zipf-skewed star and the Section
-   8 workload. Every scenario is non-empty by construction, so a
-   non-finite q-error is a failure. *)
 let run_f16 () =
-  section "F16: degree-statistics estimators — bound quality vs truth";
-  let scale = if quick then 50 else 10 in
-  let rows = Harness.Bound_panel.run ~scale () in
-  print_string (Harness.Bound_panel.render rows);
-  if not (Harness.Bound_panel.pass rows) then begin
-    print_endline "F16 FAILED: non-finite q-error in the panel";
-    exit 1
-  end
+  run_panel "F16" "F16: degree-statistics estimators — bound quality vs truth"
+    (Harness.Qpanel.degree ~scale:(if quick then 50 else 10))
 
 (* F11: the budget subsystem under load. Three legs: (a) exact DP on an
    n=14 chain under a 1 ms wall-clock deadline must still return a valid
@@ -610,7 +503,7 @@ let () =
       ("t1", run_t1); ("t1-ablation", run_t1_ablation); ("e1", run_e1);
       ("s5", run_s5); ("s6", run_s6); ("f1", run_f1); ("f2", run_f2);
       ("f3", run_f3); ("f4", run_f4); ("f5", run_f5); ("f6", run_f6);
-      ("f7", run_f7); ("f8", run_f8); ("f10", run_f10); ("f11", run_f11);
+      ("f7", run_f7); ("f10", run_f10); ("f11", run_f11);
       ("f12", run_f12); ("f13", run_f13); ("f14", run_f14);
       ("f16", run_f16); ("micro", run_micro);
     ]

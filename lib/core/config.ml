@@ -1,8 +1,3 @@
-type rule =
-  | Multiplicative
-  | Smallest
-  | Largest
-
 type strictness = Catalog.Validate.strictness =
   | Strict
   | Repair
@@ -15,11 +10,6 @@ type t = {
   single_table : bool;
   strictness : strictness;
 }
-
-let estimator_of_rule = function
-  | Multiplicative -> Estimator.m
-  | Smallest -> Estimator.ss
-  | Largest -> Estimator.ls
 
 let of_estimator ?(strictness = Repair) (e : Estimator.t) =
   {
@@ -43,8 +33,6 @@ let panel ?strictness () =
 
 let with_strictness strictness t = { t with strictness }
 let with_estimator estimator t = { t with estimator }
-let combine t sels = t.estimator.Estimator.combine sels
-let rule_name r = Estimator.label (estimator_of_rule r)
 
 (* Field-wise: the estimator holds closures, so structural equality on the
    whole record would raise [Invalid_argument "compare: functional value"].

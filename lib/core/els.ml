@@ -78,21 +78,37 @@ let checked_estimate site x =
       (Els_error.Invariant_violation { site; detail = "estimate is infinite" })
   else Ok x
 
+let checked_size state = checked_estimate "Els.estimate" state.Incremental.size
+
+let checked_history state =
+  let sizes = Incremental.history state in
+  let rec check = function
+    | [] -> Ok sizes
+    | x :: rest -> begin
+      match checked_estimate "Els.intermediate_sizes" x with
+      | Ok _ -> check rest
+      | Error _ as e -> e
+    end
+  in
+  check sizes
+
+(* One prepare (and so one catalog audit) and one walk of the order; the
+   result-typed entry points below only differ in which of the state's
+   numbers they check and return. *)
+let estimate_order_result config db query order =
+  wrap (fun () -> Incremental.estimate_order (prepare config db query) order)
+
 let estimate_result config db query order =
-  match wrap (fun () -> estimate config db query order) with
-  | Error _ as e -> e
-  | Ok x -> checked_estimate "Els.estimate" x
+  Result.bind (estimate_order_result config db query order) checked_size
 
 let intermediate_sizes_result config db query order =
-  match wrap (fun () -> intermediate_sizes config db query order) with
+  Result.bind (estimate_order_result config db query order) checked_history
+
+let sizes_and_estimate_result config db query order =
+  match estimate_order_result config db query order with
   | Error _ as e -> e
-  | Ok sizes ->
-    let rec check = function
-      | [] -> Ok sizes
-      | x :: rest -> begin
-        match checked_estimate "Els.intermediate_sizes" x with
-        | Ok _ -> check rest
-        | Error _ as e -> e
-      end
-    in
-    check sizes
+  | Ok state -> begin
+    match checked_history state with
+    | Error _ as e -> e
+    | Ok sizes -> Result.map (fun x -> (sizes, x)) (checked_size state)
+  end

@@ -102,3 +102,15 @@ val intermediate_sizes_result :
   Query.t ->
   string list ->
   (float list, Els_error.t) result
+
+val sizes_and_estimate_result :
+  Config.t ->
+  Catalog.Db.t ->
+  Query.t ->
+  string list ->
+  (float list * float, Els_error.t) result
+(** {!intermediate_sizes_result} and {!estimate_result} from one prepare:
+    the same values and the same errors as calling the two in that order
+    (sizes checked first), at the cost of one profile build and one
+    catalog audit instead of two. The estimate is the final state's size,
+    so a one-table order yields [([], rows)]. *)

@@ -25,9 +25,9 @@ let id t = t.id
 let label t = t.label
 let equal a b = String.equal a.id b.id
 
-(* The three rules of the paper (Section 7). Fold shapes are kept exactly
-   as the former [Config.combine] wrote them so results stay bit-identical
-   to the enum era. *)
+(* The three rules of the paper (Section 7). The fold shapes (M and SS
+   from 1.0, LS from its first member) are part of the results' bit
+   identity: the golden hex-float captures pin them. *)
 
 let m =
   {

@@ -34,9 +34,6 @@ let eligible_ids profile mask bit =
   let stats = profile.Profile.stats in
   stats.Profile.eligible_probes <-
     stats.Profile.eligible_probes + Array.length ids;
-  stats.Profile.scans_avoided <-
-    stats.Profile.scans_avoided
-    + (Array.length index.Profile.pred_infos - Array.length ids);
   Array.fold_right
     (fun id acc ->
       match index.Profile.pred_infos.(id).Profile.endpoints with
@@ -129,10 +126,6 @@ let eligible_ids_between profile m1 m2 =
   let stats = profile.Profile.stats in
   stats.Profile.eligible_probes <-
     stats.Profile.eligible_probes + Array.length index.Profile.join_pred_ids;
-  stats.Profile.scans_avoided <-
-    stats.Profile.scans_avoided
-    + (Array.length index.Profile.pred_infos
-      - Array.length index.Profile.join_pred_ids);
   Array.fold_right
     (fun id acc ->
       match index.Profile.pred_infos.(id).Profile.endpoints with
@@ -402,10 +395,9 @@ let final_size profile order = (estimate_order profile order).size
 
 (* --- reference list-scan implementations -------------------------------
 
-   The pre-index hot path, kept as the baseline the property tests and the
-   DP-enumeration benchmark compare against: eligibility by scanning the
-   whole working conjunction with List.mem over the joined set, and
-   uncached rule combination. *)
+   The pre-index hot path, kept as the oracle the property tests compare
+   against: eligibility by scanning the whole working conjunction with
+   List.mem over the joined set, and uncached rule combination. *)
 
 let eligible_scan profile joined name =
   let name = Profile.normalize name in

@@ -30,8 +30,8 @@
     allocation-free step engine whenever no derivation sink is attached;
     otherwise they run the indexed interpreter below; and the pre-index
     list-scan implementation is kept as
-    {!eligible_scan}/{!step_selectivity_scan} for differential tests and
-    benchmarking. *)
+    {!eligible_scan}/{!step_selectivity_scan}, the reference oracle of the
+    differential property tests. *)
 
 type state = {
   mask : int;
@@ -89,10 +89,9 @@ val final_size : Profile.t -> string list -> float
 (** {2 Reference list-scan baseline}
 
     The pre-index implementation over an explicit joined-table list,
-    scanning the entire working conjunction per call. Kept for
-    differential property tests and as the baseline of the DP-enumeration
-    benchmark; produces exactly the same predicates and selectivities as
-    the indexed path. *)
+    scanning the entire working conjunction per call. Kept as the oracle
+    of the differential property tests; produces exactly the same
+    predicates and selectivities as the indexed path. *)
 
 val eligible_scan :
   Profile.t -> string list -> string -> Query.Predicate.t list

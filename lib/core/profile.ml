@@ -32,7 +32,6 @@ type cache_stats = {
   mutable group_hits : int;
   mutable group_misses : int;
   mutable eligible_probes : int;
-  mutable scans_avoided : int;
   mutable kernel_fallbacks : int;
 }
 
@@ -85,7 +84,6 @@ let create_stats () =
     group_hits = 0;
     group_misses = 0;
     eligible_probes = 0;
-    scans_avoided = 0;
     kernel_fallbacks = 0;
   }
 
@@ -95,15 +93,13 @@ let reset_stats s =
   s.group_hits <- 0;
   s.group_misses <- 0;
   s.eligible_probes <- 0;
-  s.scans_avoided <- 0;
   s.kernel_fallbacks <- 0
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "sel hit/miss=%d/%d group hit/miss=%d/%d probes=%d scans-avoided=%d \
-     kernel-fallbacks=%d"
+    "sel hit/miss=%d/%d group hit/miss=%d/%d probes=%d kernel-fallbacks=%d"
     s.sel_hits s.sel_misses s.group_hits s.group_misses s.eligible_probes
-    s.scans_avoided s.kernel_fallbacks
+    s.kernel_fallbacks
 
 let ceil_pos x = if x <= 0. then 0. else Float.ceil x
 

@@ -71,9 +71,6 @@ type cache_stats = {
   mutable group_misses : int;
   mutable eligible_probes : int;
       (** join predicates examined through the per-table index *)
-  mutable scans_avoided : int;
-      (** predicates an index probe skipped relative to a full scan of the
-          working conjunction *)
   mutable kernel_fallbacks : int;
       (** estimation steps that wanted the compiled kernel but ran
           interpreted because the profile has no lowering (comparison

@@ -6,7 +6,6 @@ type row = {
   work : int;
   cache_hits : int;
   cache_misses : int;
-  scans_avoided : int;
 }
 
 let enumerators =
@@ -42,7 +41,6 @@ let run ?(seeds = List.init 5 (fun i -> i + 1)) ?(n_tables = 7) () =
               stats.Els.Profile.sel_hits + stats.Els.Profile.group_hits;
             cache_misses =
               stats.Els.Profile.sel_misses + stats.Els.Profile.group_misses;
-            scans_avoided = stats.Els.Profile.scans_avoided;
           })
         enumerators)
     seeds
@@ -52,7 +50,7 @@ let render rows =
     ~header:
       [
         "seed"; "enumerator"; "optimize (ms)"; "est. cost"; "executed work";
-        "cache hit/miss"; "scans avoided";
+        "cache hit/miss";
       ]
     (List.map
        (fun r ->
@@ -63,6 +61,5 @@ let render rows =
            Report.float_cell r.estimated_cost;
            string_of_int r.work;
            Printf.sprintf "%d/%d" r.cache_hits r.cache_misses;
-           string_of_int r.scans_avoided;
          ])
        rows)

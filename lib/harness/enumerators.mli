@@ -17,8 +17,6 @@ type row = {
   cache_hits : int;
       (** profile selectivity-cache hits (join + class) during enumeration *)
   cache_misses : int;
-  scans_avoided : int;
-      (** predicates skipped by index probes vs full conjunction scans *)
 }
 
 val run :

@@ -23,7 +23,6 @@ let absorb_profile m profile =
   c m "profile.cache.group_hits" s.Els.Profile.group_hits;
   c m "profile.cache.group_misses" s.Els.Profile.group_misses;
   c m "profile.cache.eligible_probes" s.Els.Profile.eligible_probes;
-  c m "profile.cache.scans_avoided" s.Els.Profile.scans_avoided;
   (* Steps served by the compiled kernel never touch the caches above:
      published separately so "cache probes went to zero" reads as "the
      kernel took over", not "estimation stopped". *)

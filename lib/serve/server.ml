@@ -383,8 +383,7 @@ let handle_estimate ss ~budget ~sql ~estimator ~order =
       if norm order = norm query.Query.tables then Ok order
       else invalid "order must be a permutation of the query's tables"
   in
-  let* sizes = Els.intermediate_sizes_result config edb query order in
-  let* estimate = Els.estimate_result config edb query order in
+  let* sizes, estimate = Els.sizes_and_estimate_result config edb query order in
   let* () = check_budget ~site:"serve.estimate" budget in
   Ok
     ( "estimate",

@@ -12,10 +12,9 @@ let test_config_names () =
   let custom = { Els.Config.els with Els.Config.single_table = false } in
   Alcotest.(check bool) "custom name descriptive" true
     (String.length (Els.Config.name custom) > 5);
-  Alcotest.(check string) "rule names" "M/SS/LS"
+  Alcotest.(check string) "rule labels" "M/SS/LS"
     (String.concat "/"
-       (List.map Els.Config.rule_name
-          Els.Config.[ Multiplicative; Smallest; Largest ]))
+       (List.map Els.Estimator.label Els.Estimator.[ m; ss; ls ]))
 
 let test_root_convenience () =
   let db = Helpers.example1_db () in

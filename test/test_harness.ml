@@ -132,6 +132,69 @@ let test_local_sweep_shape () =
         < float_of_int p.Harness.Local_sweep.true_size))
     points
 
+let small_chain ~seed ~n_tables =
+  Datagen.Workload.chain ~rows_range:(20, 60) ~distinct_range:(5, 20) ~seed
+    ~n_tables ()
+
+let test_qpanel_shape () =
+  let scenarios =
+    [
+      ("two", small_chain ~seed:1 ~n_tables:2);
+      ("three", small_chain ~seed:2 ~n_tables:3);
+    ]
+  in
+  let rows = Harness.Qpanel.run scenarios in
+  Alcotest.(check int) "scenarios × registry"
+    (List.length scenarios * List.length (Els.Estimator.registry ()))
+    (List.length rows);
+  Alcotest.(check (list string)) "registry order within a scenario"
+    (List.map Els.Estimator.label (Els.Estimator.registry ()))
+    (List.filter_map
+       (fun r ->
+         if r.Harness.Qpanel.scenario = "two" then
+           Some r.Harness.Qpanel.estimator
+         else None)
+       rows);
+  Alcotest.(check bool) "chains pass" true (Harness.Qpanel.pass rows);
+  Alcotest.(check bool) "empty panel fails" false (Harness.Qpanel.pass []);
+  let broken =
+    { (List.hd rows) with Harness.Qpanel.q = Harness.Accuracy.Infinite }
+  in
+  Alcotest.(check bool) "infinite q-error fails" false
+    (Harness.Qpanel.pass (broken :: rows))
+
+(* A one-table scenario has no join step, so its size history is empty:
+   the final estimate must come from the state (the table's rows), not
+   from the history's last element. *)
+let test_qpanel_one_table () =
+  let spec =
+    {
+      (small_chain ~seed:3 ~n_tables:2) with
+      Datagen.Workload.query = Query.make ~tables:[ "t1" ] [];
+    }
+  in
+  let rows_of_t1 =
+    float_of_int
+      (Rel.Relation.cardinality
+         (Catalog.Db.relation_exn spec.Datagen.Workload.db "t1"))
+  in
+  let rows = Harness.Qpanel.run [ ("one", spec) ] in
+  Alcotest.(check int) "one row per estimator"
+    (List.length (Els.Estimator.registry ()))
+    (List.length rows);
+  List.iter
+    (fun r ->
+      let label = r.Harness.Qpanel.estimator in
+      Alcotest.(check (list (float 0.))) (label ^ ": no join steps") []
+        r.Harness.Qpanel.estimates;
+      Alcotest.(check (float 0.)) (label ^ ": truth") rows_of_t1
+        r.Harness.Qpanel.truth;
+      Alcotest.(check (float 0.)) (label ^ ": estimate = table rows")
+        rows_of_t1 r.Harness.Qpanel.estimate;
+      Alcotest.(check bool) (label ^ ": finite q-error") true
+        (r.Harness.Qpanel.q = Harness.Accuracy.Finite 1.))
+    rows
+
 let suite =
   [
     Alcotest.test_case "report: table" `Quick test_report_table;
@@ -146,4 +209,7 @@ let suite =
     Alcotest.test_case "error propagation shape" `Quick
       test_error_propagation_shape;
     Alcotest.test_case "local sweep shape" `Quick test_local_sweep_shape;
+    Alcotest.test_case "qpanel: shape and pass" `Quick test_qpanel_shape;
+    Alcotest.test_case "qpanel: one-table scenario" `Quick
+      test_qpanel_one_table;
   ]

@@ -570,6 +570,42 @@ let prop_index_matches_scan =
             (permutations names))
         (Els.Config.panel ()))
 
+(* The same oracle on one fixed, larger workload: a 12-table chain walked
+   in FROM order on the interpreted tier. The scan path carries its own
+   running size (rows × rows_next × scan selectivity), which must equal
+   the indexed [extend]'s size bit for bit after every step — not just
+   agree step by step on selectivities. *)
+let test_scan_running_size_matches_extend () =
+  let chain =
+    Datagen.Workload.chain ~rows_range:(100, 300) ~distinct_range:(20, 100)
+      ~seed:1 ~n_tables:12 ()
+  in
+  let query = chain.Datagen.Workload.query in
+  let profile =
+    Els.prepare ~kernel:false Els.Config.els chain.Datagen.Workload.db query
+  in
+  let rows name = (Els.Profile.table profile name).Els.Profile.rows in
+  match query.Query.tables with
+  | [] -> Alcotest.fail "empty chain"
+  | first :: rest ->
+    ignore
+      (List.fold_left
+         (fun (joined, scan_size, st) name ->
+           let scan_size =
+             scan_size *. rows name
+             *. Els.Incremental.step_selectivity_scan profile joined name
+           in
+           let st = Els.Incremental.extend profile st name in
+           Alcotest.(check bool)
+             (Printf.sprintf "size after joining %s: %h = %h" name scan_size
+                st.Els.Incremental.size)
+             true
+             (Float.equal scan_size st.Els.Incremental.size);
+           (joined @ [ name ], scan_size, st))
+         ([ first ], rows first, Els.Incremental.start profile first)
+         rest
+        : string list * float * Els.Incremental.state)
+
 (* Key-join chains: every value appears exactly once per table
    (multiplicity 1), so each table's join column is a key and each step's
    true size is the running minimum of the distinct counts. On such data
@@ -858,4 +894,8 @@ let suite =
       prop_comparison_sort_merge_oracle;
       prop_convolution_in_unit;
       prop_convolution_point_mass_exact;
+    ]
+  @ [
+      Alcotest.test_case "list-scan running size = extend, 12-table chain"
+        `Quick test_scan_running_size_matches_extend;
     ]
