@@ -19,7 +19,7 @@
      F11 — deadline/budget soak: anytime ladder under a 1 ms deadline on
            n=14 DP, node-budget cost sweep, randomized soak smoke
            (supplementary)
-     F12 — compiled estimation kernel vs interpreted indexed path on DP
+     F12 — compiled estimation kernel vs the list-scan reference on DP
            enumeration, with a Gc.minor_words allocation audit
            (supplementary)
      F13 — catalog churn: versioned epochs, partitioned re-ANALYZE and
@@ -142,20 +142,21 @@ let run_f6 () =
   let seeds = if quick then [ 1; 2; 3 ] else List.init 8 (fun i -> i + 1) in
   print_string (Harness.Accuracy.render (Harness.Accuracy.run ~seeds ()))
 
-(* F12: the compiled-kernel tier — a DP-style enumeration over all 2ⁿ
-   left-deep prefixes, comparing the interpreted indexed path
-   (Incremental.extend on a [~kernel:false] profile: state records,
-   eligible-id lists, assoc grouping, memo-cache probes) against the
-   compiled kernel (Kernel.extend_into over a flat float array of sizes:
-   int masks in, floats out, zero minor-heap allocation per step). Both
-   walk the same states in the same order and must agree on the full-join
-   size bit-for-bit; the allocation claim is measured via Gc.minor_words
-   and the run fails if the kernel path allocates. *)
+(* F12: the compiled step engine — a DP-style enumeration over all 2ⁿ
+   left-deep prefixes, comparing the list-scan reference (running size
+   size × ‖R‖′ × Incremental.step_selectivity_scan: joined-table lists,
+   whole-conjunction scans, uncached selectivities) against the compiled
+   kernel (Kernel.extend_into over a flat float array of sizes: int masks
+   in, floats out, zero minor-heap allocation per step). Both walk the
+   same states in the same order and must agree on the full-join size
+   bit-for-bit; the allocation claim is measured via Gc.minor_words and
+   the run fails if the kernel path allocates. *)
 let run_f12 () =
-  section "F12: DP-enumeration hot path — compiled kernel vs indexed path";
+  section
+    "F12: DP-enumeration hot path — compiled kernel vs list-scan reference";
   let sizes = if quick then [ 12 ] else [ 12; 14; 16 ] in
   let registry = Obs.Metrics.create () in
-  Printf.printf "%-4s %12s %11s %8s %12s %16s\n" "n" "indexed (s)"
+  Printf.printf "%-4s %12s %11s %8s %12s %16s\n" "n" "scan (s)"
     "kernel (s)" "speedup" "steps" "words/step";
   let failures = ref 0 in
   List.iter
@@ -166,45 +167,47 @@ let run_f12 () =
       in
       let db = chain.Datagen.Workload.db in
       let query = chain.Datagen.Workload.query in
-      let indexed_profile = Els.prepare ~kernel:false Els.Config.els db query in
-      let kernel_profile = Els.prepare Els.Config.els db query in
-      let kernel =
-        match Els.Profile.kernel kernel_profile with
-        | Some k -> k
-        | None -> failwith "F12: ELS profile has no compiled kernel"
-      in
+      let profile = Els.prepare Els.Config.els db query in
+      let kernel = Els.Profile.kernel profile in
       let names = Array.of_list query.Query.tables in
+      let rows =
+        Array.map
+          (fun name -> (Els.Profile.table profile name).Els.Profile.rows)
+          names
+      in
       let full = (1 lsl n) - 1 in
       let by_size = Array.make (n + 1) [] in
       for mask = full downto 1 do
         let c = Rel.Bits.popcount mask in
         by_size.(c) <- mask :: by_size.(c)
       done;
-      (* Indexed interpreter: state records, first write per mask wins. *)
+      let joined mask =
+        List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list names)
+      in
+      (* List-scan reference: first write per mask wins. *)
       let t0 = Unix.gettimeofday () in
-      let istates = Array.make (full + 1) None in
+      let scan_sizes = Array.make (full + 1) Float.nan in
       for i = 0 to n - 1 do
-        istates.(1 lsl i) <-
-          Some (Els.Incremental.start indexed_profile names.(i))
+        scan_sizes.(1 lsl i) <- rows.(i)
       done;
       for size = 1 to n - 1 do
         List.iter
           (fun mask ->
-            match istates.(mask) with
-            | None -> ()
-            | Some st ->
+            if not (Float.is_nan scan_sizes.(mask)) then begin
+              let joined = joined mask in
               for i = 0 to n - 1 do
-                if mask land (1 lsl i) = 0 then begin
-                  let mask' = mask lor (1 lsl i) in
-                  let st' =
-                    Els.Incremental.extend indexed_profile st names.(i)
-                  in
-                  if istates.(mask') = None then istates.(mask') <- Some st'
-                end
-              done)
+                let mask' = mask lor (1 lsl i) in
+                if mask land (1 lsl i) = 0 && Float.is_nan scan_sizes.(mask')
+                then
+                  scan_sizes.(mask') <-
+                    scan_sizes.(mask) *. rows.(i)
+                    *. Els.Incremental.step_selectivity_scan profile joined
+                         names.(i)
+              done
+            end)
           by_size.(size)
       done;
-      let idx_s = Unix.gettimeofday () -. t0 in
+      let scan_s = Unix.gettimeofday () -. t0 in
       (* Compiled kernel: one flat float array indexed by mask, NaN =
          not reached yet; the same traversal, so the same first write
          lands in each slot. Plain nested loops over mask arrays — the
@@ -249,21 +252,19 @@ let run_f12 () =
       let w3 = Gc.minor_words () in
       let alloc_words = w3 -. w2 -. overhead in
       let words_per_step = alloc_words /. float_of_int steps in
-      (match (istates.(full), ksizes.(full)) with
-      | Some st, k when Float.equal st.Els.Incremental.size k -> ()
-      | _ ->
-        failwith "F12: kernel and indexed paths disagree on the full join");
+      if not (Float.equal scan_sizes.(full) ksizes.(full)) then
+        failwith "F12: kernel and list-scan reference disagree on the full join";
       let label suffix = Printf.sprintf "f12.n%d.%s" n suffix in
       Obs.Metrics.set (Obs.Metrics.gauge registry (label "speedup"))
-        (idx_s /. ker_s);
+        (scan_s /. ker_s);
       Obs.Metrics.set_counter
         (Obs.Metrics.counter registry (label "kernel_steps"))
         steps;
       Obs.Metrics.set
         (Obs.Metrics.gauge registry (label "alloc_words_per_step"))
         words_per_step;
-      Printf.printf "%-4d %12.3f %11.3f %7.1fx %12d %16.6f\n" n idx_s ker_s
-        (idx_s /. ker_s) steps words_per_step;
+      Printf.printf "%-4d %12.3f %11.3f %7.1fx %12d %16.6f\n" n scan_s ker_s
+        (scan_s /. ker_s) steps words_per_step;
       (* Bytecode boxes every float, so the zero-allocation claim is only
          a native-code property — exactly like the unit test asserts. *)
       if Sys.backend_type = Sys.Native && alloc_words <> 0. then begin

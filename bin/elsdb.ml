@@ -393,8 +393,8 @@ let explain_cmd =
       (fun b -> Format.printf "budget: %a@." Rel.Budget.pp b)
       budget;
     (* Derivation card: replay the chosen order with a sink attached. The
-       re-walk reuses the profile's memo caches, so every number printed is
-       the number the optimizer used. *)
+       re-walk runs on the profile's compiled kernel, so every number
+       printed is the number the optimizer used. *)
     let deriv = Obs.Derivation.create () in
     let profile = choice.Optimizer.profile in
     Els.Profile.set_derivation profile (Some deriv);

@@ -10,16 +10,14 @@ module Els_error = Els_error
 module Guard = Guard
 module Kernel = Kernel
 
-let prepare ?memoize ?kernel ?trace ?annotations config db query =
-  let profile =
-    Profile.build ?memoize ?kernel ?trace ?annotations config db query
-  in
+let prepare ?trace ?annotations config db query =
+  let profile = Profile.build ?trace ?annotations config db query in
   (* Pay kernel compilation here, once per prepared query, rather than on
      the first estimation step. *)
-  ignore (Profile.kernel profile : Kernel.t option);
+  ignore (Profile.kernel profile : Kernel.t);
   profile
 
-let prepare_epoch ?memoize ?kernel ?trace config epoch query =
+let prepare_epoch ?trace config epoch query =
   (* Collect the epoch's staleness notes for the tables this query reads,
      so a derivation card attached to the profile discloses any
      last-known-good fallbacks behind its numbers. *)
@@ -32,8 +30,7 @@ let prepare_epoch ?memoize ?kernel ?trace config epoch query =
              (Catalog.Epoch.annotations_for epoch source))
     |> List.sort_uniq String.compare
   in
-  prepare ?memoize ?kernel ?trace ~annotations config
-    (Catalog.Epoch.db epoch) query
+  prepare ?trace ~annotations config (Catalog.Epoch.db epoch) query
 
 let estimate config db query order =
   Incremental.final_size (prepare config db query) order
@@ -42,8 +39,8 @@ let intermediate_sizes config db query order =
   Incremental.history
     (Incremental.estimate_order (prepare config db query) order)
 
-let prepare_result ?memoize ?kernel ?trace config db query =
-  match Profile.build_result ?memoize ?kernel ?trace config db query with
+let prepare_result ?trace config db query =
+  match Profile.build_result ?trace config db query with
   | Ok profile -> begin
     (* Compilation evaluates every join selectivity, so under [Strict] a
        guard breach can surface here — reify it like [build_result] does. *)

@@ -27,8 +27,6 @@ module Guard = Guard
 module Kernel = Kernel
 
 val prepare :
-  ?memoize:bool ->
-  ?kernel:bool ->
   ?trace:Obs.Trace.t ->
   ?annotations:string list ->
   Config.t ->
@@ -39,15 +37,11 @@ val prepare :
     local-predicate effects, single-table handling, the hot-path predicate
     indexes and everything join selectivities need. {!Profile.build}, plus
     eager compilation of the profile's estimation {!Kernel} so enumeration
-    never pays it mid-plan; [kernel:false] pins the profile to the
-    interpreted path (the differential baseline). [memoize] (default
-    [true]) controls the profile's selectivity caches, [trace] records
-    "profile"/"validate" spans, [annotations] stamps staleness notes onto
-    attached derivation sinks. *)
+    never pays it mid-plan. [trace] records "profile"/"validate" spans,
+    [annotations] stamps staleness notes onto attached derivation
+    sinks. *)
 
 val prepare_epoch :
-  ?memoize:bool ->
-  ?kernel:bool ->
   ?trace:Obs.Trace.t ->
   Config.t ->
   Catalog.Epoch.t ->
@@ -78,8 +72,6 @@ val intermediate_sizes :
     [Invariant_violation] instead of poisoning the caller. *)
 
 val prepare_result :
-  ?memoize:bool ->
-  ?kernel:bool ->
   ?trace:Obs.Trace.t ->
   Config.t ->
   Catalog.Db.t ->

@@ -11,13 +11,19 @@ type step_input = {
   degrees : (Stats.Degree.t * Stats.Degree.t) list;
 }
 
+type fold = Product | Smallest | Largest | Unit
+
+type cap =
+  | No_cap
+  | Min_rows
+  | Degree of { bound : step_input -> float; note : step_input -> string }
+
 type t = {
   id : string;
   label : string;
   summary : string;
-  combine : float list -> float;
-  cap : (step_input -> float) option;
-  cap_note : (step_input -> string) option;
+  fold : fold;
+  cap : cap;
   flags : flags;
 }
 
@@ -25,18 +31,40 @@ let id t = t.id
 let label t = t.label
 let equal a b = String.equal a.id b.id
 
-(* The three rules of the paper (Section 7). The fold shapes (M and SS
-   from 1.0, LS from its first member) are part of the results' bit
-   identity: the golden hex-float captures pin them. *)
+(* The fold shapes (M and SS from 1.0, LS from its first member) are part
+   of the results' bit identity: the golden hex-float captures pin them,
+   and [Kernel] seeds its per-class accumulators the same way. *)
+let combine t sels =
+  match t.fold with
+  | Product -> List.fold_left ( *. ) 1. sels
+  | Smallest -> List.fold_left Float.min 1. sels
+  | Largest -> (
+    match sels with [] -> 1. | s :: rest -> List.fold_left Float.max s rest)
+  | Unit -> 1.
+
+let min_rows s = Float.min s.left_rows s.right_rows
+
+let cap_bound t s =
+  match t.cap with
+  | No_cap -> None
+  | Min_rows -> Some (min_rows s)
+  | Degree { bound; _ } -> Some (bound s)
+
+let cap_note t s =
+  match t.cap with
+  | No_cap -> None
+  | Min_rows -> Some "min-rows (degree-1 Lp-norm bound)"
+  | Degree { note; _ } -> Some (note s)
+
+(* The three rules of the paper (Section 7). *)
 
 let m =
   {
     id = "m";
     label = "M";
     summary = "Rule M: multiply every eligible join selectivity (Selinger)";
-    combine = (fun sels -> List.fold_left ( *. ) 1. sels);
-    cap = None;
-    cap_note = None;
+    fold = Product;
+    cap = No_cap;
     (* Canonically with PTC: panels compare combining rules under equal
        (closed) predicate sets. Plain SM is [Config.sm ~ptc:false]. *)
     flags = { closure = true; local_aware = false; single_table = false };
@@ -47,9 +75,8 @@ let ss =
     id = "ss";
     label = "SS";
     summary = "Rule SS: keep only the smallest selectivity per class";
-    combine = (fun sels -> List.fold_left Float.min 1. sels);
-    cap = None;
-    cap_note = None;
+    fold = Smallest;
+    cap = No_cap;
     flags = { closure = true; local_aware = false; single_table = false };
   }
 
@@ -58,17 +85,10 @@ let ls =
     id = "ls";
     label = "LS";
     summary = "Rule LS: keep only the largest selectivity per class";
-    combine =
-      (fun sels ->
-        match sels with
-        | [] -> 1.
-        | s :: rest -> List.fold_left Float.max s rest);
-    cap = None;
-    cap_note = None;
+    fold = Largest;
+    cap = No_cap;
     flags = { closure = true; local_aware = true; single_table = true };
   }
-
-let min_rows s = Float.min s.left_rows s.right_rows
 
 let pess =
   {
@@ -80,9 +100,8 @@ let pess =
     (* No per-class selectivity reduction: the bound comes entirely from
        the cap, so classes combine to 1 and a step's raw size is the
        cartesian product before capping. *)
-    combine = (fun _ -> 1.);
-    cap = Some min_rows;
-    cap_note = Some (fun _ -> "min-rows (degree-1 Lp-norm bound)");
+    fold = Unit;
+    cap = Min_rows;
     flags = { closure = true; local_aware = true; single_table = true };
   }
 
@@ -90,21 +109,24 @@ let pess =
 
    Bound-style estimators over the per-column degree sequences ANALYZE
    collects ([Stats.Degree] via [Col_stats.degree]). Like PESS they carry
-   no per-class selectivity reduction — the whole estimate is the cap —
-   and like every non-builtin cap they never lower to the compiled kernel
-   tier, so each interpreted step counts a kernel fallback. All caps fold
-   [Float.min] across the step's bridging predicates (a conjunction can
-   only shrink the output) and degrade to PESS's min-rows when no degree
-   statistics are available. The degree statistics are the {e base
-   tables}': exact for the first (two-way) step, a heuristic for later
-   steps whose left input is an intermediate. *)
+   no per-class selectivity reduction — the whole estimate is the cap.
+   All caps fold [Float.min] across the step's bridging predicates (a
+   conjunction can only shrink the output) and degrade to PESS's min-rows
+   when no degree statistics are available. The degree statistics are the
+   {e base tables}': exact for the first (two-way) step, a heuristic for
+   later steps whose left input is an intermediate. *)
 
-let degree_fold s per_edge =
-  List.fold_left
-    (fun acc (a, b) -> Float.min acc (per_edge a b))
-    (min_rows s) s.degrees
-
-let no_degrees s = s.degrees = []
+(* A degree cap whose provenance note names [source], or min-rows when the
+   step has no degree statistics. *)
+let degree_cap ~source bound =
+  Degree
+    {
+      bound;
+      note =
+        (fun s ->
+          if s.degrees = [] then "min-rows (no degree statistics collected)"
+          else source);
+    }
 
 let lp2 =
   {
@@ -113,16 +135,13 @@ let lp2 =
     summary =
       "AGM/Lp-norm bound: cap each step at min(|R1|', |R2|', L2(a)·L2(b)) \
        from the join columns' degree-sequence L2 norms";
-    combine = (fun _ -> 1.);
+    fold = Unit;
     cap =
-      Some
-        (fun s ->
-          degree_fold s (fun a b -> Stats.Degree.l2 a *. Stats.Degree.l2 b));
-    cap_note =
-      Some
-        (fun s ->
-          if no_degrees s then "min-rows (no degree statistics collected)"
-          else "degree-sequence L2 norms (ANALYZE)");
+      degree_cap ~source:"degree-sequence L2 norms (ANALYZE)" (fun s ->
+          List.fold_left
+            (fun acc (a, b) ->
+              Float.min acc (Stats.Degree.l2 a *. Stats.Degree.l2 b))
+            (min_rows s) s.degrees);
     flags = { closure = true; local_aware = true; single_table = true };
   }
 
@@ -134,21 +153,15 @@ let degseq =
       "Degree-sequence two-approximation: pairwise product of the sorted \
        top-k degrees plus a capped tail (Instance Optimal Join Size \
        Estimation)";
-    combine = (fun _ -> 1.);
+    fold = Unit;
     cap =
-      Some
-        (fun s ->
+      degree_cap ~source:"top-k degree sequences (ANALYZE)" (fun s ->
           match s.degrees with
           | [] -> min_rows s
           | edges ->
             List.fold_left
               (fun acc (a, b) -> Float.min acc (Stats.Degree.join_bound a b))
               Float.infinity edges);
-    cap_note =
-      Some
-        (fun s ->
-          if no_degrees s then "min-rows (no degree statistics collected)"
-          else "top-k degree sequences (ANALYZE)");
     flags = { closure = true; local_aware = true; single_table = true };
   }
 
@@ -160,14 +173,13 @@ let ent =
       "Entropy-style max-degree bound: cap each step at \
        min(|R1|'·L∞(b), |R2|'·L∞(a)) — the polymatroid bound's two-way \
        degenerate form";
-    combine = (fun _ -> 1.);
+    fold = Unit;
     (* Folded from infinity, not from min-rows: L∞ ≥ 1 on any non-empty
        column makes |R|·L∞ ≥ |R|, so a min-rows seed would swallow the
        entropic term and collapse ENT into PESS. Min-rows applies only as
        the no-statistics degradation. *)
     cap =
-      Some
-        (fun s ->
+      degree_cap ~source:"degree-sequence L∞ norms (ANALYZE)" (fun s ->
           match s.degrees with
           | [] -> min_rows s
           | edges ->
@@ -178,22 +190,11 @@ let ent =
                      (s.left_rows *. Stats.Degree.linf b)
                      (s.right_rows *. Stats.Degree.linf a)))
               Float.infinity edges);
-    cap_note =
-      Some
-        (fun s ->
-          if no_degrees s then "min-rows (no degree statistics collected)"
-          else "degree-sequence L∞ norms (ANALYZE)");
     flags = { closure = true; local_aware = true; single_table = true };
   }
 
-let registered : t list ref = ref [ m; ss; ls; pess; lp2; degseq; ent ]
-let registry () = !registered
-
-let register e =
-  if List.exists (fun x -> String.equal x.id e.id) !registered then
-    invalid_arg (Printf.sprintf "Estimator.register: duplicate id %S" e.id);
-  registered := !registered @ [ e ]
-
+let all = [ m; ss; ls; pess; lp2; degseq; ent ]
+let registry () = all
 let ids () = List.map (fun e -> e.id) (registry ())
 
 let find name =

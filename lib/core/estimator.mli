@@ -3,13 +3,13 @@
     The paper treats Rules M, SS and LS (Section 7) as interchangeable
     strategies for combining the eligible join selectivities of one
     equivalence class. This module lifts that idea into a value: an
-    estimator is a record of functions with a stable identity, and every
-    consumer — {!Profile}, {!Incremental}, the optimizers and the harness
-    panels — works against this seam instead of matching on an enum.
+    estimator is a record describing its class fold and its per-step cap
+    as data, with a stable identity, and every consumer — {!Kernel}, the
+    optimizers and the harness panels — works against this seam.
 
-    Estimators live in a registry so experiment panels, the CLI
+    Estimators live in a fixed registry so experiment panels, the CLI
     [--estimator] flag and report labels all draw from one source of
-    truth and can pick up third-party estimators registered at startup. *)
+    truth. *)
 
 type flags = {
   closure : bool;  (** run predicate transitive closure by default *)
@@ -35,36 +35,60 @@ type step_input = {
     exact for a two-way step, a heuristic for later steps whose left
     input is an intermediate result. *)
 
+(** How one equivalence class folds its eligible join selectivities into
+    a single factor. The seeds are part of the results' bit identity. *)
+type fold =
+  | Product  (** Rule M: the product, folded from 1.0 *)
+  | Smallest  (** Rule SS: the minimum, folded from 1.0 *)
+  | Largest  (** Rule LS: the maximum, seeded with the first member *)
+  | Unit  (** every class contributes 1: the estimate lives in the cap *)
+
+(** Per-step output-cardinality cap. Applied only to predicate-connected
+    steps — a cartesian step has no join predicate to justify a bound. *)
+type cap =
+  | No_cap
+  | Min_rows  (** [min(‖R1‖′, ‖R2‖′)], the degree-1 Lp-norm bound *)
+  | Degree of {
+      bound : step_input -> float;
+          (** the cap, from the step's degree statistics; must degrade
+              gracefully on an empty [degrees] list *)
+      note : step_input -> string;
+          (** derivation-card provenance: names the statistic the cap
+              read (e.g. which degree norm, or min-rows when degraded).
+              Observability only — never consulted by the value path. *)
+    }
+
 type t = {
   id : string;
-      (** stable lowercase identifier; registry key, cache key and CLI
-          name. Never rename an id: memo caches and scripts depend on
-          it. *)
+      (** stable lowercase identifier; registry key and CLI name. Never
+          rename an id: scripts and derivation cards depend on it. *)
   label : string;  (** short display name used in report tables *)
   summary : string;  (** one-line description for help output *)
-  combine : float list -> float;
-      (** fold one equivalence class's eligible join selectivities into a
-          single factor; the empty list must combine to 1 (a cartesian
-          step) *)
-  cap : (step_input -> float) option;
-      (** optional per-step output-cardinality cap. Applied by
-          {!Incremental} only to predicate-connected steps — a cartesian
-          step has no equality class to justify a bound. Estimators with
-          a cap other than min-rows never lower to the compiled kernel
-          tier; their interpreted steps count kernel fallbacks. *)
-  cap_note : (step_input -> string) option;
-      (** derivation-card provenance for the cap: names the statistic the
-          cap read (e.g. which degree norm, or min-rows when degraded).
-          Observability only — never consulted by the value path. *)
+  fold : fold;
+  cap : cap;
   flags : flags;
 }
+(** An estimator is data: the compiled {!Kernel} matches on [fold] and
+    [cap], so any record — a registry entry or a copy of one under a new
+    id — runs on the same step engine. *)
 
 val id : t -> string
 val label : t -> string
 
 val equal : t -> t -> bool
 (** Identity is the [id] string — never structural equality, which would
-    raise on the closures inside. *)
+    raise on the closures inside a [Degree] cap. *)
+
+val combine : t -> float list -> float
+(** The estimator's [fold] over one class's selectivities, as a list fold;
+    the empty list combines to 1. The reference the list-scan oracle
+    ({!Incremental.step_selectivity_scan}) and derivation replay use. *)
+
+val cap_bound : t -> step_input -> float option
+(** The cap's value on a step; [None] for [No_cap]. *)
+
+val cap_note : t -> step_input -> string option
+(** The cap's derivation-card provenance; [None] for [No_cap]. *)
 
 val m : t
 (** Rule M (multiplicative): the product of the class's selectivities. *)
@@ -104,13 +128,8 @@ val ent : t
     Degrades to min-rows without degree stats. *)
 
 val registry : unit -> t list
-(** All registered estimators, in registration order; the built-ins
-    [m], [ss], [ls], [pess] come first, then the degree-statistics family
-    [lp2], [degseq], [ent]. *)
-
-val register : t -> unit
-(** Append a new estimator to the registry.
-    @raise Invalid_argument on a duplicate [id]. *)
+(** The fixed registry: the built-ins [m], [ss], [ls], [pess], then the
+    degree-statistics family [lp2], [degseq], [ent]. *)
 
 val ids : unit -> string list
 (** The registered ids, in registry order. *)

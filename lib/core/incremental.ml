@@ -49,177 +49,38 @@ let eligible profile state name =
     (fun id -> (Profile.pred profile id).Profile.pred)
     (eligible_ids profile state.mask bit)
 
-(* Partition eligible predicate ids by their (precomputed) equivalence-
-   class root; groups in first-occurrence order, members in id order. All
-   roots of one class are the same physically-shared Cref (resolved once at
-   build), so the common single-class step short-circuits on [==] without
-   allocating group structure. *)
-let is_eq_pred profile id =
-  match (Profile.pred profile id).Profile.pred with
-  | Predicate.Col_cmp { op = Predicate.Eq; _ } -> true
-  | Predicate.Col_cmp _ | Predicate.Cmp _ -> false
-
-let class_groups profile ids =
-  match ids with
-  | [] -> []
-  | first :: rest ->
-    let root0 = (Profile.pred profile first).Profile.root in
-    let same r = r == root0 || Query.Cref.equal r root0 in
-    (* The short-circuit additionally requires every member to be an
-       equality: comparison predicates never share a class-derived
-       selectivity, so equality-only workloads — and only those — take
-       the exact pre-generalization path. *)
-    if
-      is_eq_pred profile first
-      && List.for_all
-           (fun id ->
-             is_eq_pred profile id
-             && same (Profile.pred profile id).Profile.root)
-           rest
-    then [ ids ]
-    else begin
-      (* Keyed by [Cref.equal] (with the [==] fast path), never by the
-         polymorphic [List.assoc_opt]: if [Cref.t] ever grows a field
-         where structural (=) diverges from [Cref.equal], a polymorphic
-         lookup would silently split one equivalence class in two and
-         apply its selectivity twice. Equality predicates group by class
-         root; each comparison predicate is an independent constraint and
-         stays a singleton group ([None]-tagged, never a merge target). *)
-      let groups = ref [] in
-      List.iter
-        (fun id ->
-          if is_eq_pred profile id then begin
-            let r = (Profile.pred profile id).Profile.root in
-            match
-              List.find_opt
-                (fun (r', _) ->
-                  match r' with
-                  | Some r' -> r' == r || Query.Cref.equal r' r
-                  | None -> false)
-                !groups
-            with
-            | Some (_, members) -> members := id :: !members
-            | None -> groups := (Some r, ref [ id ]) :: !groups
-          end
-          else groups := (None, ref [ id ]) :: !groups)
-        ids;
-      List.rev_map (fun (_, members) -> List.rev !members) !groups
-    end
-
-let selectivity_of_ids profile ids =
-  List.fold_left
-    (fun acc group -> acc *. Profile.class_selectivity profile group)
-    1. (class_groups profile ids)
-
 let step_selectivity profile state name =
-  let bit = Profile.table_bit profile name in
-  match Profile.kernel profile with
-  | Some k -> Kernel.step_selectivity k ~mask:state.mask ~bit
-  | None ->
-    Profile.note_kernel_fallback profile;
-    selectivity_of_ids profile (eligible_ids profile state.mask bit)
-
-(* Join predicate ids bridging the two (disjoint) masks: one pass over the
-   join predicates with O(1) endpoint tests. *)
-let eligible_ids_between profile m1 m2 =
-  let index = profile.Profile.index in
-  let stats = profile.Profile.stats in
-  stats.Profile.eligible_probes <-
-    stats.Profile.eligible_probes + Array.length index.Profile.join_pred_ids;
-  Array.fold_right
-    (fun id acc ->
-      match index.Profile.pred_infos.(id).Profile.endpoints with
-      | Some (a, b) ->
-        let ba = 1 lsl a and bb = 1 lsl b in
-        if
-          (m1 land ba <> 0 && m2 land bb <> 0)
-          || (m1 land bb <> 0 && m2 land ba <> 0)
-        then id :: acc
-        else acc
-      | None -> acc)
-    index.Profile.join_pred_ids []
-
-let eligible_between profile s1 s2 =
-  List.map
-    (fun id -> (Profile.pred profile id).Profile.pred)
-    (eligible_ids_between profile s1.mask s2.mask)
-
-(* Degree-statistic pairs of the step's bridging equality predicates,
-   oriented (already-joined side, new side) by [left_mask]. Comparison
-   predicates never pair (their selectivity is CDF-derived, not
-   degree-derived), and a column without ANALYZE-collected degree
-   sequences contributes no pair — caps degrade on the empty list. *)
-let step_degrees profile ~left_mask ids =
-  List.filter_map
-    (fun id ->
-      match (Profile.pred profile id).Profile.pred with
-      | Predicate.Col_cmp { left; op = Predicate.Eq; right } -> begin
-        let on_left cref =
-          left_mask
-          land (1 lsl Profile.table_bit profile cref.Query.Cref.table)
-          <> 0
-        in
-        let a, b = if on_left left then (left, right) else (right, left) in
-        match
-          ( (Profile.column_stats profile a).Stats.Col_stats.degree,
-            (Profile.column_stats profile b).Stats.Col_stats.degree )
-        with
-        | Some da, Some db -> Some (da, db)
-        | _, _ -> None
-      end
-      | Predicate.Col_cmp _ | Predicate.Cmp _ -> None)
-    ids
-
-let step_input profile ~left_mask ~left_rows ~right_rows ids =
-  {
-    Estimator.left_rows;
-    right_rows;
-    degrees = step_degrees profile ~left_mask ids;
-  }
-
-(* The estimator may bound a predicate-connected step's output (e.g. the
-   pessimistic degree-1 bound, or the degree-statistics family's Lp-norm
-   caps). A cartesian step has no equality class to justify a bound, so
-   the cap never applies there; capping below the cartesian product keeps
-   the Guard's [~upper] valid unchanged. *)
-let capped_size profile ~ids ~left_mask ~left_rows ~right_rows raw =
-  match (Profile.estimator profile).Estimator.cap with
-  | Some cap when ids <> [] ->
-    Float.min raw
-      (cap (step_input profile ~left_mask ~left_rows ~right_rows ids))
-  | Some _ | None -> raw
+  Kernel.step_selectivity (Profile.kernel profile) ~mask:state.mask
+    ~bit:(Profile.table_bit profile name)
 
 (* --- derivation recording ----------------------------------------------
 
    When a sink is attached ([Profile.set_derivation]), each estimation step
    appends a record of the classes, rules, input selectivities and d′
-   provenance behind its output. Every number is re-read through the
-   profile's memo caches, so recording never changes a computed value. *)
+   provenance behind its output. The kernel computes the step either way;
+   the record reads the step's classes, member predicates, guarded class
+   values and cap back from it, so recording never changes (or re-guards)
+   a computed value. *)
 
-(* Derivation-card label of one class group: ["eq"] for an equality
-   class, the comparison's kind for a singleton comparison group. *)
-let group_kind profile group =
-  match group with
-  | id :: _ -> begin
-    match Predicate.kind (Profile.pred profile id).Profile.pred with
-    | Some k -> Predicate.kind_name k
-    | None -> "local"
-  end
-  | [] -> "eq"
+(* Derivation-card label of one class: ["eq"] for an equality class, the
+   comparison's kind for a singleton comparison class. *)
+let class_kind pred =
+  match Predicate.kind pred with
+  | Some k -> Predicate.kind_name k
+  | None -> "local"
 
-let column_records profile ~cdf group =
+let column_records profile ~cdf preds =
   let crefs =
     List.rev
       (List.fold_left
-         (fun acc id ->
+         (fun acc p ->
            List.fold_left
              (fun acc c ->
                if List.exists (Query.Cref.equal c) acc then acc else c :: acc)
-             acc
-             (Predicate.columns (Profile.pred profile id).Profile.pred))
-         [] group)
+             acc (Predicate.columns p))
+         [] preds)
   in
-  (* For a comparison group the selectivity comes from the columns' CDFs,
+  (* For a comparison class the selectivity comes from the columns' CDFs,
      not their d′, so the provenance label names the CDF's backing
      statistic instead of the cardinality derivation. *)
   let cdf_label cref =
@@ -250,41 +111,35 @@ let column_records profile ~cdf group =
         })
     crefs
 
-let record_step profile ~index ~table ~left_mask ~left_rows ~right_rows ~ids
-    ~output sink =
+let record_step profile sink ~index ~table ~left_rows ~right_rows ~output =
+  let k = Profile.kernel profile in
   let rule = (Profile.estimator profile).Estimator.id in
+  (* Kernel predicate indices are positions in [join_pred_ids]. *)
+  let info p =
+    Profile.pred profile profile.Profile.index.Profile.join_pred_ids.(p)
+  in
   let classes =
     List.map
-      (fun group ->
-        let kind = group_kind profile group in
+      (fun (members, combined) ->
+        let first = info (List.hd members) in
+        let kind = class_kind first.Profile.pred in
+        let preds = List.map (fun p -> (info p).Profile.pred) members in
         {
-          Obs.Derivation.class_root =
-            Query.Cref.to_string (Profile.pred profile (List.hd group)).Profile.root;
+          Obs.Derivation.class_root = Query.Cref.to_string first.Profile.root;
           kind;
           rule;
           inputs =
-            List.map
-              (fun id ->
-                ( Predicate.to_string (Profile.pred profile id).Profile.pred,
-                  Profile.join_selectivity profile id ))
-              group;
-          combined = Profile.class_selectivity profile group;
+            List.map2
+              (fun p pred ->
+                (Predicate.to_string pred, Kernel.pred_selectivity k p))
+              members preds;
+          combined;
           columns =
-            column_records profile ~cdf:(not (String.equal kind "eq")) group;
+            column_records profile ~cdf:(not (String.equal kind "eq")) preds;
         })
-      (class_groups profile ids)
+      (Kernel.step_classes k)
   in
-  let cap, cap_source =
-    let est = Profile.estimator profile in
-    match est.Estimator.cap with
-    | Some cap when ids <> [] ->
-      let input = step_input profile ~left_mask ~left_rows ~right_rows ids in
-      ( Some (cap input),
-        match est.Estimator.cap_note with
-        | Some note -> Some (note input)
-        | None -> None )
-    | Some _ | None -> (None, None)
-  in
+  let cap = Kernel.step_cap k in
   Obs.Derivation.record_step sink
     {
       Obs.Derivation.index;
@@ -292,8 +147,8 @@ let record_step profile ~index ~table ~left_mask ~left_rows ~right_rows ~ids
       left_rows;
       right_rows;
       classes;
-      cap;
-      cap_source;
+      cap = Option.map fst cap;
+      cap_source = Option.map snd cap;
       output;
     }
 
@@ -305,43 +160,21 @@ let join_states profile s1 s2 =
       (Printf.sprintf "Incremental.join_states: %s on both sides"
          (Profile.table_name profile (first_bit 0)))
   end;
-  (* The kernel path can serve any step no sink wants to observe; with a
-     sink attached the interpreted path runs (recording per-step
-     provenance) and produces bit-identical numbers. *)
-  match (Profile.derivation profile, Profile.kernel profile) with
-  | None, Some k ->
-    let size =
-      Kernel.join_size k ~mask1:s1.mask ~mask2:s2.mask ~size1:s1.size
-        ~size2:s2.size
-    in
-    {
-      mask = s1.mask lor s2.mask;
-      size;
-      rev_history = size :: List.append s2.rev_history s1.rev_history;
-    }
-  | (Some _ | None), _ ->
-    Profile.note_kernel_fallback profile;
-    let ids = eligible_ids_between profile s1.mask s2.mask in
-    let s = selectivity_of_ids profile ids in
-    let size =
-      Guard.cardinality profile.Profile.guard ~site:"Incremental.join_states"
-        ~upper:(s1.size *. s2.size)
-        (capped_size profile ~ids ~left_mask:s1.mask ~left_rows:s1.size
-           ~right_rows:s2.size
-           (s1.size *. s2.size *. s))
-    in
-    (match Profile.derivation profile with
-    | Some sink ->
-      record_step profile
-        ~index:(List.length s1.rev_history + List.length s2.rev_history)
-        ~table:"⋈" ~left_mask:s1.mask ~left_rows:s1.size ~right_rows:s2.size
-        ~ids ~output:size sink
-    | None -> ());
-    {
-      mask = s1.mask lor s2.mask;
-      size;
-      rev_history = size :: List.append s2.rev_history s1.rev_history;
-    }
+  let size =
+    Kernel.join_size (Profile.kernel profile) ~mask1:s1.mask ~mask2:s2.mask
+      ~size1:s1.size ~size2:s2.size
+  in
+  (match Profile.derivation profile with
+  | Some sink ->
+    record_step profile sink
+      ~index:(List.length s1.rev_history + List.length s2.rev_history)
+      ~table:"⋈" ~left_rows:s1.size ~right_rows:s2.size ~output:size
+  | None -> ());
+  {
+    mask = s1.mask lor s2.mask;
+    size;
+    rev_history = size :: List.append s2.rev_history s1.rev_history;
+  }
 
 let extend profile state name =
   let bit = Profile.table_bit profile name in
@@ -349,40 +182,22 @@ let extend profile state name =
     invalid_arg
       (Printf.sprintf "Incremental.extend: %s already joined"
          (Profile.normalize name));
-  match (Profile.derivation profile, Profile.kernel profile) with
-  | None, Some k ->
-    let size = Kernel.extend_size k ~mask:state.mask ~bit ~size:state.size in
-    {
-      mask = state.mask lor (1 lsl bit);
-      size;
-      rev_history = size :: state.rev_history;
-    }
-  | (Some _ | None), _ ->
-    Profile.note_kernel_fallback profile;
+  let size =
+    Kernel.extend_size (Profile.kernel profile) ~mask:state.mask ~bit
+      ~size:state.size
+  in
+  (match Profile.derivation profile with
+  | Some sink ->
     let table = Profile.table_at profile bit in
-    let ids = eligible_ids profile state.mask bit in
-    let s = selectivity_of_ids profile ids in
-    let size =
-      (* S ≤ 1, so a step can never exceed the cartesian bound of the two
-         inputs. *)
-      Guard.cardinality profile.Profile.guard ~site:"Incremental.extend"
-        ~upper:(state.size *. table.Profile.rows)
-        (capped_size profile ~ids ~left_mask:state.mask ~left_rows:state.size
-           ~right_rows:table.Profile.rows
-           (state.size *. table.Profile.rows *. s))
-    in
-    (match Profile.derivation profile with
-    | Some sink ->
-      record_step profile
-        ~index:(List.length state.rev_history)
-        ~table:table.Profile.name ~left_mask:state.mask ~left_rows:state.size
-        ~right_rows:table.Profile.rows ~ids ~output:size sink
-    | None -> ());
-    {
-      mask = state.mask lor (1 lsl bit);
-      size;
-      rev_history = size :: state.rev_history;
-    }
+    record_step profile sink ~index:(List.length state.rev_history)
+      ~table:table.Profile.name ~left_rows:state.size
+      ~right_rows:table.Profile.rows ~output:size
+  | None -> ());
+  {
+    mask = state.mask lor (1 lsl bit);
+    size;
+    rev_history = size :: state.rev_history;
+  }
 
 let estimate_order profile order =
   match order with
@@ -395,9 +210,9 @@ let final_size profile order = (estimate_order profile order).size
 
 (* --- reference list-scan implementations -------------------------------
 
-   The pre-index hot path, kept as the oracle the property tests compare
-   against: eligibility by scanning the whole working conjunction with
-   List.mem over the joined set, and uncached rule combination. *)
+   The reference the kernel is checked against (property tests, F12):
+   eligibility by scanning the whole working conjunction with List.mem
+   over the joined set, and uncached class grouping and list folds. *)
 
 let eligible_scan profile joined name =
   let name = Profile.normalize name in
@@ -415,7 +230,8 @@ let eligible_scan profile joined name =
 let step_selectivity_scan profile joined name =
   let preds = eligible_scan profile joined name in
   let groups = Selectivity.group_by_class profile preds in
-  let combine = (Profile.estimator profile).Estimator.combine in
+  let est = Profile.estimator profile in
   List.fold_left
-    (fun acc g -> acc *. combine (List.map (Selectivity.join profile) g))
+    (fun acc g ->
+      acc *. Estimator.combine est (List.map (Selectivity.join profile) g))
     1. groups

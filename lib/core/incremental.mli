@@ -12,26 +12,22 @@
 
     [size(I ⋈ R) = size(I) × ‖R‖′ × ∏_classes S_class].
 
-    An estimator with a per-step cardinality cap ({!Estimator.cap}, e.g.
-    the pessimistic degree-1 bound) additionally bounds each
-    predicate-connected step's output by [cap ~left_rows ~right_rows];
+    Each equality class combines its members; each comparison or band
+    join predicate is a class of its own. An estimator with a per-step
+    cardinality cap ({!Estimator.cap}, e.g. the pessimistic degree-1
+    bound) additionally bounds each predicate-connected step's output;
     cartesian steps are never capped.
 
     This is the inner loop of exact DP enumeration (2ⁿ subsets), so the
     state carries the joined set as an int bitset over the profile's
-    canonical table → bit mapping, eligibility is an O(degree) probe of the
-    profile's per-table predicate index, and per-class selectivities come
-    from the profile's memo caches.
+    canonical table → bit mapping, and every step runs on the profile's
+    compiled, allocation-free {!Kernel} ({!Profile.kernel}). With a
+    derivation sink attached, the step is still the kernel's; the record
+    is read back from it.
 
-    Three implementation tiers produce bit-identical numbers and serve as
-    each other's differential baselines: when the profile carries a
-    compiled {!Kernel} (the default; see {!Profile.kernel}),
-    {!step_selectivity}/{!extend}/{!join_states} dispatch to its
-    allocation-free step engine whenever no derivation sink is attached;
-    otherwise they run the indexed interpreter below; and the pre-index
-    list-scan implementation is kept as
-    {!eligible_scan}/{!step_selectivity_scan}, the reference oracle of the
-    differential property tests. *)
+    The list-scan implementation {!eligible_scan}/{!step_selectivity_scan}
+    is the one reference the kernel is checked against (the differential
+    property tests and bench F12). *)
 
 type state = {
   mask : int;
@@ -68,10 +64,6 @@ val extend : Profile.t -> state -> string -> state
     @raise Invalid_argument when the table is already in the result.
     @raise Not_found when it is not part of the profiled query. *)
 
-val eligible_between : Profile.t -> state -> state -> Query.Predicate.t list
-(** Join predicates of the working conjunction linking the two (disjoint)
-    intermediate results. *)
-
 val join_states : Profile.t -> state -> state -> state
 (** Generalization of {!extend} to bushy joins: combine two intermediate
     results, applying one estimator-combined selectivity per equivalence
@@ -86,16 +78,20 @@ val estimate_order : Profile.t -> string list -> state
 val final_size : Profile.t -> string list -> float
 (** Estimated size of the full join along the given order. *)
 
-(** {2 Reference list-scan baseline}
+(** {2 Reference list-scan implementation}
 
-    The pre-index implementation over an explicit joined-table list,
-    scanning the entire working conjunction per call. Kept as the oracle
-    of the differential property tests; produces exactly the same
-    predicates and selectivities as the indexed path. *)
+    Over an explicit joined-table list, scanning the entire working
+    conjunction per call, with uncached selectivities and
+    {!Estimator.combine}'s list fold. The oracle of the differential
+    property tests and bench F12; produces exactly the same predicates
+    and selectivities as the kernel. *)
 
 val eligible_scan :
   Profile.t -> string list -> string -> Query.Predicate.t list
 (** [eligible_scan profile joined name] — O(#predicates × #joined). *)
 
 val step_selectivity_scan : Profile.t -> string list -> string -> float
-(** Uncached grouping and estimator combination over {!eligible_scan}. *)
+(** Uncached class grouping ({!Selectivity.group_by_class}) and
+    {!Estimator.combine} over {!eligible_scan}. A step's size is
+    [size × ‖R‖′ × step_selectivity_scan], capped by
+    {!Estimator.cap_bound} on a predicate-connected step. *)

@@ -19,12 +19,12 @@
       configuration, each intra-table column equality contributes the
       classic [1/max(d₁,d₂)] factor to [‖R‖′] instead.
 
-    On top of those numbers the profile carries the {e hot-path indexes}
-    step 6 (see {!Incremental}) probes on every enumerator step: a
-    canonical table → bit mapping, per-table join-predicate adjacency
-    lists, per-predicate equivalence-class roots resolved once at build
-    time, and memoization caches for join and per-class selectivities with
-    {!Exec.Counters}-style hit/miss observability. *)
+    On top of those numbers the profile carries the indexes step 6 (see
+    {!Incremental}) is compiled from: a canonical table → bit mapping,
+    per-table join-predicate adjacency lists, per-predicate
+    equivalence-class roots resolved once at build time, a memo cache for
+    join selectivities with {!Exec.Counters}-style hit/miss observability,
+    and the compiled step engine itself ({!kernel}). *)
 
 type column_profile = {
   cref : Query.Cref.t;
@@ -67,14 +67,8 @@ type pred_info = {
 type cache_stats = {
   mutable sel_hits : int;
   mutable sel_misses : int;
-  mutable group_hits : int;
-  mutable group_misses : int;
   mutable eligible_probes : int;
       (** join predicates examined through the per-table index *)
-  mutable kernel_fallbacks : int;
-      (** estimation steps that wanted the compiled kernel but ran
-          interpreted because the profile has no lowering (comparison
-          join predicates, or a custom estimator) *)
 }
 
 type index = {
@@ -90,20 +84,6 @@ type index = {
       (** bit → single-table local predicates, in conjunction order *)
 }
 
-(** Lifecycle of a profile's compiled estimation kernel (see {!Kernel}):
-    compiled lazily on first use, opted out at {!build}, or unavailable
-    because the estimator has no monomorphic lowering. *)
-type kernel_slot =
-  | Kernel_unbuilt  (** not compiled yet; {!kernel} will try *)
-  | Kernel_disabled  (** [build ~kernel:false] — interpreted path only *)
-  | Kernel_unsupported
-      (** no lowering exists: the configured estimator is not one of the
-          four built-in rules (its [combine] closure is arbitrary OCaml),
-          or the working conjunction carries comparison join predicates
-          (the kernel's step algebra is the equality rule); interpreted
-          steps on such a profile bump [cache_stats.kernel_fallbacks] *)
-  | Kernel_ready of Kernel.t
-
 type t = {
   config : Config.t;
   predicates : Query.Predicate.t list;
@@ -111,14 +91,9 @@ type t = {
   classes : Eqclass.t;
   tables : (string * table_profile) list;  (** in FROM order *)
   index : index;
-  memoize : bool;  (** consult the caches below (on by default) *)
   sel_cache : float array;
       (** predicate id → memoized join selectivity; NaN marks an unfilled
           slot (real selectivities live in [0, 1]) *)
-  group_cache : (string * int list, float) Hashtbl.t;
-      (** (estimator id, class-group predicate ids) → combined
-          selectivity; keyed by estimator so {!with_estimator} can share
-          the table across swaps *)
   stats : cache_stats;
   guard : Guard.t;
       (** invariant guard for every number this profile produces; its mode
@@ -134,9 +109,11 @@ type t = {
   mutable deriv : Obs.Derivation.t option;
       (** derivation sink; when set, {!Incremental} records each
           estimation step into it (see {!set_derivation}) *)
-  mutable kernel : kernel_slot;
-      (** compiled estimation kernel; access through {!kernel}, never the
-          field (the accessor owns lazy compilation) *)
+  mutable kernel : Kernel.t option;
+      (** compiled estimation kernel, [None] until first use; access
+          through {!kernel}, never the field (the accessor owns lazy
+          compilation). The kernel is this profile's scratch state, so a
+          profile belongs to one domain at a time. *)
 }
 
 val normalize : string -> string
@@ -145,20 +122,13 @@ val normalize : string -> string
     mixed-case callers cannot silently miss filters or predicates. *)
 
 val build :
-  ?memoize:bool ->
-  ?kernel:bool ->
   ?trace:Obs.Trace.t ->
   ?annotations:string list ->
   Config.t ->
   Catalog.Db.t ->
   Query.t ->
   t
-(** [memoize] defaults to [true]; pass [false] to recompute every
-    selectivity (the caches are bit-transparent — see the property tests).
-    [kernel] defaults to [true]; pass [false] to pin the profile to the
-    interpreted estimation path (the kernel is bit-transparent too — the
-    differential baselines and F12 compare the two).
-    Catalog statistics of every referenced table are audited under
+(** Catalog statistics of every referenced table are audited under
     [config.strictness] before use (see {!Catalog.Validate}).
     [trace] records a ["profile"] span with a ["validate"] child covering
     the catalog audit; tracing never changes any computed number.
@@ -170,8 +140,6 @@ val build :
     table carries corrupt statistics. *)
 
 val build_result :
-  ?memoize:bool ->
-  ?kernel:bool ->
   ?trace:Obs.Trace.t ->
   ?annotations:string list ->
   Config.t ->
@@ -227,13 +195,8 @@ val comparison_selectivity :
 
 val join_selectivity : t -> int -> float
 (** Selectivity of the join predicate with the given id, memoized in
-    [sel_cache] when [memoize] is set.
+    [sel_cache].
     @raise Invalid_argument for a local predicate id. *)
-
-val class_selectivity : t -> int list -> float
-(** Estimator-combined selectivity of one equivalence-class group of
-    eligible join predicates (given by id, in conjunction order), memoized
-    in [group_cache] (keyed by estimator id) when [memoize] is set. *)
 
 val estimator : t -> Estimator.t
 (** The configuration's estimator. *)
@@ -241,13 +204,11 @@ val estimator : t -> Estimator.t
 val with_estimator : Estimator.t -> t -> t
 (** Swap the estimator without rebuilding: the effective statistics,
     indexes and per-predicate selectivity cache are estimator-independent
-    and shared; only [group_cache] entries (keyed by estimator id) differ.
-    Note the pipeline toggles (closure, local-awareness, single-table) are
+    and shared; the kernel, which bakes the estimator in, recompiles on
+    first use. Note the pipeline toggles (closure, local-awareness, single-table) are
     baked into the built statistics and stay as configured. *)
 
 val cache_stats : t -> cache_stats
-val reset_cache_stats : t -> unit
-val pp_stats : Format.formatter -> cache_stats -> unit
 
 val guard : t -> Guard.t
 val guard_stats : t -> Guard.stats
@@ -257,29 +218,20 @@ val guard_stats : t -> Guard.stats
 val validation_issues : t -> Catalog.Validate.issue list
 (** Catalog issues found while building, in table order. *)
 
-val kernel : t -> Kernel.t option
-(** The profile's compiled estimation kernel, compiling it on first call:
-    [None] when compilation is disabled ([build ~kernel:false]) or the
-    estimator has no monomorphic lowering (custom registry entries).
-    {!Incremental} dispatches to it whenever no derivation sink is
-    attached; every number it produces is bit-identical to the
-    interpreted path. *)
+val kernel : t -> Kernel.t
+(** The profile's compiled estimation kernel, compiling it on first call
+    (which evaluates every join selectivity, so under [Strict] a guard
+    breach can raise here). Every estimator and every join predicate
+    lowers; {!Incremental} runs each step on it. *)
 
 val kernel_steps : t -> int
-(** Estimation steps executed through the compiled kernel so far (0 when
-    none is compiled) — published by {!Harness.Obs_report} next to the
-    cache counters, which the kernel path does not touch. *)
-
-val note_kernel_fallback : t -> unit
-(** Called by {!Incremental} when an estimation step runs interpreted:
-    bumps [cache_stats.kernel_fallbacks] only when the profile {e has no}
-    kernel lowering (comparison join predicates or a custom estimator) —
-    derivation-recording passes and explicit [~kernel:false] opt-outs are
-    not fallbacks. *)
+(** Estimation steps executed through the compiled kernel so far (0
+    before it is compiled) — published by {!Harness.Obs_report} as
+    ["profile.kernel.steps"]. *)
 
 val kernel_fallback_steps : t -> int
-(** Value of the fallback counter — published by {!Harness.Obs_report} as
-    ["profile.kernel.fallback_steps"]. *)
+(** Always 0: every step runs on the kernel. Kept because existing
+    ledgers read it (["profile.kernel.fallback_steps"]). *)
 
 val set_derivation : t -> Obs.Derivation.t option -> unit
 (** Attach (or detach, with [None]) a derivation sink. While attached,

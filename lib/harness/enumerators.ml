@@ -37,10 +37,8 @@ let run ?(seeds = List.init 5 (fun i -> i + 1)) ?(n_tables = 7) () =
             optimize_s;
             estimated_cost = choice.Optimizer.estimated_cost;
             work = Exec.Counters.total_work counters;
-            cache_hits =
-              stats.Els.Profile.sel_hits + stats.Els.Profile.group_hits;
-            cache_misses =
-              stats.Els.Profile.sel_misses + stats.Els.Profile.group_misses;
+            cache_hits = stats.Els.Profile.sel_hits;
+            cache_misses = stats.Els.Profile.sel_misses;
           })
         enumerators)
     seeds

@@ -15,7 +15,7 @@ type row = {
   estimated_cost : float;
   work : int;  (** executed work of the chosen plan *)
   cache_hits : int;
-      (** profile selectivity-cache hits (join + class) during enumeration *)
+      (** profile join-selectivity cache hits during enumeration *)
   cache_misses : int;
 }
 

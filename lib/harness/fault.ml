@@ -213,7 +213,7 @@ let default_sql =
 
 (* The comparison-join leg of the matrix: same catalog, but the last link
    is an inequality, so every corruption also crosses the CDF-convolution
-   estimator and the kernel's interpreted fallback. *)
+   estimator and the kernel's comparison classes. *)
 let inequality_sql =
   "SELECT COUNT(*) FROM t1, t2, t3 WHERE t1.a = t2.a AND t2.a < t3.a AND \
    t1.b <= 25"

@@ -20,17 +20,13 @@ let absorb_profile m profile =
   let s = Els.Profile.cache_stats profile in
   c m "profile.cache.sel_hits" s.Els.Profile.sel_hits;
   c m "profile.cache.sel_misses" s.Els.Profile.sel_misses;
-  c m "profile.cache.group_hits" s.Els.Profile.group_hits;
-  c m "profile.cache.group_misses" s.Els.Profile.group_misses;
   c m "profile.cache.eligible_probes" s.Els.Profile.eligible_probes;
-  (* Steps served by the compiled kernel never touch the caches above:
-     published separately so "cache probes went to zero" reads as "the
-     kernel took over", not "estimation stopped". *)
+  (* Steps run on the compiled kernel, which reads selectivities compiled
+     once rather than probing the caches above. *)
   Metrics.set_counter
     (Metrics.counter m "profile.kernel.steps")
     (Els.Profile.kernel_steps profile);
-  (* Steps the kernel declined (non-equality join predicates in the
-     profile): estimation fell back to the interpreted tier. *)
+  (* Always 0 — every step runs on the kernel; kept for existing ledgers. *)
   Metrics.set_counter
     (Metrics.counter m "profile.kernel.fallback_steps")
     (Els.Profile.kernel_fallback_steps profile);

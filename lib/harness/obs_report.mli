@@ -7,11 +7,10 @@
 
     - ["profile.cache.*"] — {!Els.Profile.cache_stats} hit/miss/probe
       counters;
-    - ["profile.kernel.steps"] — estimation steps served by the profile's
-      compiled {!Els.Kernel} (which bypasses the caches above);
-    - ["profile.kernel.fallback_steps"] — steps the kernel declined
-      because the profile carries non-equality join predicates, served by
-      the interpreted tier instead;
+    - ["profile.kernel.steps"] — estimation steps run on the profile's
+      compiled {!Els.Kernel};
+    - ["profile.kernel.fallback_steps"] — always 0 (every step runs on
+      the kernel), kept for existing ledgers;
     - ["guard.*"] — {!Els.Guard.stats} violations / repairs / fallbacks;
     - ["catalog.issues"], ["catalog.issue.<kind>"] —
       {!Catalog.Validate} findings per issue kind;

@@ -58,8 +58,8 @@ let random_workload rng =
       ()
   | _ ->
     (* Comparison-join leg: a chain whose last link is an inequality or
-       band, exercising the CDF-convolution estimator, the interpreted
-       kernel fallback and the generalized sort-merge under the same
+       band, exercising the CDF-convolution estimator, the kernel's
+       comparison classes and the generalized sort-merge under the same
        chaos (corruption × strictness × budgets) as the equality legs. *)
     let op =
       pick rng

@@ -27,7 +27,9 @@ type class_record = {
       (** predicate kind of the group: ["eq"] (class of equality
           predicates), ["ineq"] or ["band"] (singleton comparison
           predicate) *)
-  rule : string;  (** estimator id that combined the class (m/ss/ls/pess) *)
+  rule : string;
+      (** id of the estimator that combined the class — any registry id
+          (m, ss, ls, pess, lp2, degseq, ent, ...) *)
   inputs : (string * float) list;
       (** eligible predicate text → its raw join selectivity, in
           conjunction order *)
@@ -82,8 +84,9 @@ val replay : combine:(rule:string -> float list -> float) -> t -> float list
     [combine ~rule inputs] clamped to [[0, 1]]; the step size is
     [left · right · Πclasses], capped when [cap] is set, then clamped to
     [[0, left·right]] (NaN repairs to 0). With [combine] dispatching to
-    the registered estimators, the result is bit-identical to the
-    recorded [output]s — the replay property the tests pin down. *)
+    the registry estimators' list fold ([Els.Estimator.combine]), the
+    result is bit-identical to the recorded [output]s — the replay
+    property the tests pin down. *)
 
 val pp_card : Format.formatter -> t -> unit
 (** Render the derivation as a human-readable card: one block per step

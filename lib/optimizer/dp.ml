@@ -181,16 +181,10 @@ let optimize_traced
     | Some _ | None -> Hashtbl.replace best mask candidate
   in
   (* O(degree) connectivity probe for the expansion loop: the compiled
-     kernel answers without building the eligible-predicate list; without
-     one (custom estimator, [~kernel:false]) fall back to the indexed
-     probe. Both test exactly "does any join predicate bridge [bit] to
-     [mask]". *)
+     kernel answers without building the eligible-predicate list. *)
   let kernel = Els.Profile.kernel profile in
   let connects state bit =
-    match kernel with
-    | Some k ->
-      Els.Kernel.connected k ~mask:state.Els.Incremental.mask ~bit
-    | None -> Els.Incremental.eligible profile state tables.(bit) <> []
+    Els.Kernel.connected kernel ~mask:state.Els.Incremental.mask ~bit
   in
   let full = (1 lsl n) - 1 in
   (* One popcount per mask, up front: masks grouped by subset size so the

@@ -202,7 +202,7 @@ let test_metrics_json_shape () =
 (* --- derivation recorder --- *)
 
 let estimator_combine ~rule ss =
-  (Els.Estimator.of_string_exn rule).Els.Estimator.combine ss
+  Els.Estimator.combine (Els.Estimator.of_string_exn rule) ss
 
 let test_derivation_records_example1 () =
   let db = Helpers.example1_db () and query = Helpers.example1_query () in
@@ -272,48 +272,62 @@ let test_choose_trace_transparent () =
 
 (* Observation transparency: attaching a tracer and a derivation sink
    changes no estimated number, for any order and estimator. *)
+let obs_bit_identity (db, query, names) =
+  List.for_all
+    (fun config ->
+      let plain = Els.prepare config db query in
+      let observed =
+        Els.prepare ~trace:(Obs.Trace.create ~clock:(fun () -> 0.) ())
+          config db query
+      in
+      Els.Profile.set_derivation observed (Some (Obs.Derivation.create ()));
+      List.for_all
+        (fun order ->
+          let a = Els.Incremental.estimate_order plain order in
+          let b = Els.Incremental.estimate_order observed order in
+          List.for_all2 Float.equal (Els.Incremental.history a)
+            (Els.Incremental.history b))
+        (Test_properties.permutations names))
+    (Els.Config.panel ())
+
 let prop_obs_bit_identity =
   QCheck2.Test.make ~count:60 ~name:"estimates bit-identical with obs on/off"
     ~print:Test_properties.print_chain_spec Test_properties.gen_chain_spec
-    (fun spec ->
-      let db, query, names = Test_properties.build_chain spec in
-      List.for_all
-        (fun config ->
-          let plain = Els.prepare config db query in
-          let observed =
-            Els.prepare ~trace:(Obs.Trace.create ~clock:(fun () -> 0.) ())
-              config db query
-          in
-          Els.Profile.set_derivation observed (Some (Obs.Derivation.create ()));
-          List.for_all
-            (fun order ->
-              let a = Els.Incremental.estimate_order plain order in
-              let b = Els.Incremental.estimate_order observed order in
-              List.for_all2 Float.equal (Els.Incremental.history a)
-                (Els.Incremental.history b))
-            (Test_properties.permutations names))
-        (Els.Config.panel ()))
+    (fun spec -> obs_bit_identity (Test_properties.build_chain spec))
+
+let prop_obs_bit_identity_cmp =
+  QCheck2.Test.make ~count:60
+    ~name:"estimates bit-identical with obs on/off, comparison chains"
+    ~print:Test_properties.print_cmp_chain_spec
+    Test_properties.gen_cmp_chain_spec (fun spec ->
+      obs_bit_identity (Test_properties.build_cmp_chain spec))
 
 (* Replay: a recorded derivation recomputes to the exact step sizes. *)
+let derivation_replay (db, query, names) =
+  List.for_all
+    (fun config ->
+      let profile = Els.prepare config db query in
+      let deriv = Obs.Derivation.create () in
+      Els.Profile.set_derivation profile (Some deriv);
+      let st = Els.Incremental.estimate_order profile names in
+      Els.Profile.set_derivation profile None;
+      let history = Els.Incremental.history st in
+      let replayed = Obs.Derivation.replay ~combine:estimator_combine deriv in
+      List.length replayed = List.length history
+      && List.for_all2 Float.equal replayed history)
+    (Els.Config.panel ())
+
 let prop_derivation_replay =
   QCheck2.Test.make ~count:60 ~name:"derivation replays to recorded S_J"
     ~print:Test_properties.print_chain_spec Test_properties.gen_chain_spec
-    (fun spec ->
-      let db, query, names = Test_properties.build_chain spec in
-      List.for_all
-        (fun config ->
-          let profile = Els.prepare config db query in
-          let deriv = Obs.Derivation.create () in
-          Els.Profile.set_derivation profile (Some deriv);
-          let st = Els.Incremental.estimate_order profile names in
-          Els.Profile.set_derivation profile None;
-          let history = Els.Incremental.history st in
-          let replayed =
-            Obs.Derivation.replay ~combine:estimator_combine deriv
-          in
-          List.length replayed = List.length history
-          && List.for_all2 Float.equal replayed history)
-        (Els.Config.panel ()))
+    (fun spec -> derivation_replay (Test_properties.build_chain spec))
+
+let prop_derivation_replay_cmp =
+  QCheck2.Test.make ~count:60
+    ~name:"derivation replays to recorded S_J, comparison chains"
+    ~print:Test_properties.print_cmp_chain_spec
+    Test_properties.gen_cmp_chain_spec (fun spec ->
+      derivation_replay (Test_properties.build_cmp_chain spec))
 
 (* Snapshot diffs of counter activity are non-negative and account for
    exactly the increments between the snapshots. *)
@@ -405,7 +419,9 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_obs_bit_identity;
+        prop_obs_bit_identity_cmp;
         prop_derivation_replay;
+        prop_derivation_replay_cmp;
         prop_metric_diff_monotone;
         prop_json_parse_total;
         prop_json_parse_total_mutated;

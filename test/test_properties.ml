@@ -48,6 +48,41 @@ let build_chain spec =
   in
   (db, Query.make ~tables:names (links names), names)
 
+(* The same chain with each link's operator drawn from equality,
+   inequality and band joins, one random link forced to a comparison so
+   every generated query carries at least one. Equalities are common, so
+   an equality class and a comparison on one of its columns often bridge
+   the same step (e.g. [t1.a = t2.a AND t2.a < t3.a] joining t2 last). *)
+type cmp_chain_spec = { chain : chain_spec; ops : Query.Predicate.comparison list }
+
+let gen_cmp_chain_spec =
+  QCheck2.Gen.(
+    let comparison = oneofl Query.Predicate.[ Lt; Le; Gt; Ge; Band 2. ] in
+    let* chain = gen_chain_spec in
+    let links = List.length chain.dims - 1 in
+    let* ops =
+      list_repeat links
+        (frequency [ (3, return Query.Predicate.Eq); (2, comparison) ])
+    in
+    let* forced = int_range 0 (links - 1) in
+    let* op = comparison in
+    return { chain; ops = List.mapi (fun i o -> if i = forced then op else o) ops })
+
+let print_cmp_chain_spec spec =
+  Printf.sprintf "%s ops=[%s]" (print_chain_spec spec.chain)
+    (String.concat "; " (List.map Query.Predicate.comparison_to_string spec.ops))
+
+let build_cmp_chain spec =
+  let db, _, names = build_chain spec.chain in
+  let rec links names ops =
+    match (names, ops) with
+    | a :: (b :: _ as rest), op :: ops ->
+      Query.Predicate.col_cmp (Query.Cref.v a "a") op (Query.Cref.v b "a")
+      :: links rest ops
+    | _, _ -> []
+  in
+  (db, Query.make ~tables:names (links names spec.ops), names)
+
 let equation3 spec =
   let ds = List.map fst spec.dims in
   let d_min = List.fold_left min max_int ds in
@@ -512,30 +547,9 @@ let prop_ls_one_selectivity_per_class =
             ok)
         (permutations names))
 
-(* The selectivity memo caches are estimate-transparent: cache-on and
-   cache-off profiles produce bit-identical sizes at every step of every
-   order, under every registered estimator's canonical configuration. *)
-let prop_cache_transparent =
-  QCheck2.Test.make ~count ~name:"memo cache is bit-identical to uncached"
-    ~print:print_chain_spec gen_chain_spec (fun spec ->
-      let db, query, names = build_chain spec in
-      List.for_all
-        (fun config ->
-          let cached = Els.prepare config db query in
-          let uncached = Els.prepare ~memoize:false config db query in
-          List.for_all
-            (fun order ->
-              let a = Els.Incremental.estimate_order cached order in
-              let b = Els.Incremental.estimate_order uncached order in
-              Float.equal a.Els.Incremental.size b.Els.Incremental.size
-              && List.for_all2 Float.equal (Els.Incremental.history a)
-                   (Els.Incremental.history b))
-            (permutations names))
-        (Els.Config.panel ()))
-
-(* Differential: the indexed bitset hot path returns exactly the same
-   eligible predicates (same order) and bit-identical step selectivities
-   as the retained list-scan reference implementation, for every
+(* Differential: the per-table predicate index returns exactly the same
+   eligible predicates (same order), and the kernel bit-identical step
+   selectivities, as the list-scan reference implementation, for every
    registered estimator. *)
 let prop_index_matches_scan =
   QCheck2.Test.make ~count ~name:"indexed hot path = list-scan baseline"
@@ -571,19 +585,17 @@ let prop_index_matches_scan =
         (Els.Config.panel ()))
 
 (* The same oracle on one fixed, larger workload: a 12-table chain walked
-   in FROM order on the interpreted tier. The scan path carries its own
-   running size (rows × rows_next × scan selectivity), which must equal
-   the indexed [extend]'s size bit for bit after every step — not just
-   agree step by step on selectivities. *)
+   in FROM order. The scan path carries its own running size (rows ×
+   rows_next × scan selectivity), which must equal the kernel's [extend]
+   size bit for bit after every step — not just agree step by step on
+   selectivities. *)
 let test_scan_running_size_matches_extend () =
   let chain =
     Datagen.Workload.chain ~rows_range:(100, 300) ~distinct_range:(20, 100)
       ~seed:1 ~n_tables:12 ()
   in
   let query = chain.Datagen.Workload.query in
-  let profile =
-    Els.prepare ~kernel:false Els.Config.els chain.Datagen.Workload.db query
-  in
+  let profile = Els.prepare Els.Config.els chain.Datagen.Workload.db query in
   let rows name = (Els.Profile.table profile name).Els.Profile.rows in
   match query.Query.tables with
   | [] -> Alcotest.fail "empty chain"
@@ -888,7 +900,6 @@ let suite =
       prop_ls_bushy;
       prop_rule_m_order_invariant;
       prop_ls_one_selectivity_per_class;
-      prop_cache_transparent;
       prop_index_matches_scan;
       prop_pess_bounds_ls_on_key_joins;
       prop_comparison_sort_merge_oracle;
