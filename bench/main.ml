@@ -29,7 +29,13 @@
      F16 — degree-statistics estimators (LP2/DEGSEQ/ENT) vs executed truth
            on key chains, skewed stars and Section 8 (supplementary)
 
-   Run with --quick to shrink T1/F1/F3 (used in CI-style smoke runs).
+   F1, F2, F6, F7, F10, F14 and F16 are one estimate-versus-truth engine
+   (Harness.Qpanel) over seven scenario lists; F1, F2, F6 and F7 then
+   aggregate its rows into their own tables. bench/panels.expected is the
+   golden capture of `f1 f2 f6 f7 f10 f16 --quick`, diffed by
+   `dune runtest`.
+
+   Run with --quick to shrink the sizes (used in CI-style smoke runs).
    Passing experiment ids (e.g. `bench/main.exe f12 micro`) runs only
    those. *)
 
@@ -106,12 +112,15 @@ let run_f1 () =
   let seeds = if quick then [ 1; 2; 3 ] else List.init 10 (fun i -> i + 1) in
   let max_tables = if quick then 5 else 7 in
   print_string
-    (Harness.Error_propagation.render
-       (Harness.Error_propagation.run ~seeds ~max_tables ()))
+    (Harness.Qpanel.render_growth
+       (Harness.Qpanel.growth
+          (Harness.Qpanel.run (Harness.Qpanel.chains ~seeds ~max_tables ()))))
 
 let run_f2 () =
   section "F2: local predicate vs join selectivity (Section 5 mechanism)";
-  print_string (Harness.Local_sweep.render (Harness.Local_sweep.run ()))
+  print_string
+    (Harness.Qpanel.render_sweep
+       (Harness.Qpanel.run (Harness.Qpanel.local_sweep ())))
 
 let run_f3 () =
   section "F3: plan quality on random chain queries";
@@ -135,12 +144,17 @@ let run_f4 () =
 let run_f7 () =
   section "F7: uniformity-assumption limits on skewed join columns";
   let thetas = if quick then [ 0.; 1.0 ] else [ 0.; 0.5; 1.0; 1.5 ] in
-  print_string (Harness.Skew_join.render (Harness.Skew_join.run ~thetas ()))
+  print_string
+    (Harness.Qpanel.render_zipf
+       (Harness.Qpanel.run (Harness.Qpanel.zipf_join ~thetas ())))
 
 let run_f6 () =
   section "F6: q-error study over mixed random workloads";
   let seeds = if quick then [ 1; 2; 3 ] else List.init 8 (fun i -> i + 1) in
-  print_string (Harness.Accuracy.render (Harness.Accuracy.run ~seeds ()))
+  print_string
+    (Harness.Qpanel.render_summary
+       (Harness.Qpanel.summarize
+          (Harness.Qpanel.run (Harness.Qpanel.mixed ~seeds ()))))
 
 (* F12: the compiled step engine — a DP-style enumeration over all 2ⁿ
    left-deep prefixes, comparing the list-scan reference (running size

@@ -34,33 +34,27 @@ let panel ?strictness () =
 let with_strictness strictness t = { t with strictness }
 let with_estimator estimator t = { t with estimator }
 
-(* Field-wise: the estimator holds closures, so structural equality on the
-   whole record would raise [Invalid_argument "compare: functional value"].
-   Strictness is orthogonal to the algorithm and compared separately. *)
-let same_algorithm a b =
-  Bool.equal a.closure b.closure
-  && Estimator.equal a.estimator b.estimator
-  && Bool.equal a.local_aware b.local_aware
-  && Bool.equal a.single_table b.single_table
-
+(* A registry estimator under its canonical toggles prints its paper name
+   (or its label); plain SM is the one named non-canonical configuration.
+   The registry lookup is by id, so an off-registry copy of a built-in
+   (same fold, new id) stays custom. *)
 let name t =
+  let toggles c = (c.closure, c.local_aware, c.single_table) in
   let algorithm =
-    if same_algorithm t els then "ELS"
-    else if same_algorithm t sss then "SSS"
-    else if same_algorithm t pess then "PESS"
-    else if same_algorithm t (sm ~ptc:false) then "SM"
-    else if same_algorithm t (sm ~ptc:true) then "SM+PTC"
-    else
-      (* A registered estimator in its canonical configuration prints its
-         label (LP2, DEGSEQ, ...); custom(...) is for off-registry
-         flag combinations only. *)
-      match
-        List.find_opt
-          (fun e -> same_algorithm t (of_estimator e))
-          (Estimator.registry ())
-      with
-      | Some e -> Estimator.label e
-      | None ->
+    match Estimator.find (Estimator.id t.estimator) with
+    | Some e
+      when Estimator.equal e t.estimator && toggles t = toggles (of_estimator e)
+      -> (
+      match Estimator.id e with
+      | "m" -> "SM+PTC"
+      | "ss" -> "SSS"
+      | "ls" -> "ELS"
+      | _ -> Estimator.label e)
+    | _
+      when Estimator.equal t.estimator Estimator.m
+           && toggles t = toggles (sm ~ptc:false) ->
+      "SM"
+    | _ ->
       Printf.sprintf "custom(rule=%s%s%s%s)"
         (Estimator.label t.estimator)
         (if t.closure then ",ptc" else "")

@@ -72,7 +72,10 @@ val with_estimator : Estimator.t -> t -> t
 (** Swap the combining rule, keeping every pipeline toggle. *)
 
 val name : t -> string
-(** Short display name: "SM", "SM+PTC", "SSS", "ELS", "PESS", or a
-    descriptive fallback for custom configurations. Strictness does not
-    change the algorithm, so it only shows as a ["!strict"] / ["!trap"]
-    suffix for the non-default modes. *)
+(** Short display name. A registry estimator (looked up by id) under its
+    canonical toggles gets its paper name — "SM+PTC" for [m], "SSS" for
+    [ss], "ELS" for [ls] — or else its label ("PESS", "LP2", ...); Rule M
+    with closure off is "SM"; anything else is a descriptive
+    ["custom(rule=...)"]. Strictness does not change the algorithm, so it
+    only shows as a ["!strict"] / ["!trap"] suffix for the non-default
+    modes. *)

@@ -1,3 +1,13 @@
+type q_error =
+  | Finite of float
+  | Infinite
+  | Undefined
+
+let q_error ~est ~truth =
+  if truth <= 0. || Float.is_nan truth || Float.is_nan est then Undefined
+  else if est <= 0. || est = Float.infinity then Infinite
+  else Float.max (est /. truth) (truth /. est) |> fun q -> Finite q
+
 type row = {
   scenario : string;
   predicate : string;
@@ -6,8 +16,9 @@ type row = {
   join_order : string list;
   estimates : float list;
   estimate : float;
+  truths : float list;
   truth : float;
-  q : Accuracy.q_error;
+  q : q_error;
 }
 
 let join_predicate_string query =
@@ -24,9 +35,15 @@ let run scenarios =
       let db = spec.Datagen.Workload.db in
       let query = spec.Datagen.Workload.query in
       let order = query.Query.tables in
+      (* One execution per scenario: the last prefix is the whole query.
+         A one-table order has no join prefix, so it runs the query. *)
+      let truths = Runner.true_prefix_sizes db query order in
       let truth =
-        float_of_int
-          (Exec.Executor.run_query db query).Exec.Executor.row_count
+        match List.rev truths with
+        | last :: _ -> last
+        | [] ->
+          float_of_int
+            (Exec.Executor.run_query db query).Exec.Executor.row_count
       in
       let predicate = join_predicate_string query in
       List.map
@@ -47,8 +64,9 @@ let run scenarios =
             join_order = order;
             estimates = Els.Incremental.history state;
             estimate;
+            truths;
             truth;
-            q = Accuracy.q_error ~est:estimate ~truth;
+            q = q_error ~est:estimate ~truth;
           })
         (Els.Estimator.registry ()))
     scenarios
@@ -56,20 +74,20 @@ let run scenarios =
 let pass rows =
   rows <> []
   && List.for_all
-       (fun r -> match r.q with Accuracy.Finite _ -> true | _ -> false)
+       (fun r -> match r.q with Finite _ -> true | _ -> false)
        rows
 
 let q_cell = function
-  | Accuracy.Finite q -> Report.float_cell q
-  | Accuracy.Infinite -> "inf"
-  | Accuracy.Undefined -> "undef"
+  | Finite q -> Report.float_cell q
+  | Infinite -> "inf"
+  | Undefined -> "undef"
 
 let render rows =
   Report.table
     ~header:
       [
         "Scenario"; "Join Predicate"; "Estimator"; "Algorithm"; "Join Order";
-        "Estimated Sizes"; "Estimate"; "True"; "q-error";
+        "Estimated Sizes"; "True Sizes"; "Estimate"; "True"; "q-error";
       ]
     (List.map
        (fun r ->
@@ -80,6 +98,7 @@ let render rows =
            r.algorithm;
            String.concat " ⋈ " r.join_order;
            Report.size_list r.estimates;
+           Report.size_list r.truths;
            Report.float_cell r.estimate;
            Report.float_cell r.truth;
            q_cell r.q;
@@ -145,3 +164,266 @@ let degree ~scale =
         ~seed:(seed + 1) ~n_dims:2 () );
     ("section8", section8_spec ~scale ~seed:(seed + 2));
   ]
+
+(* F1: chains of 2..max_tables tables, table-count-major. Distinct counts
+   stay high relative to rows so true sizes remain executable out to
+   7-way joins. *)
+let chains ?(seeds = List.init 10 (fun i -> i + 1)) ?(max_tables = 7) () =
+  List.concat_map
+    (fun n_tables ->
+      List.map
+        (fun seed ->
+          ( Printf.sprintf "chain%d-s%d" n_tables seed,
+            Datagen.Workload.chain ~rows_range:(100, 600)
+              ~distinct_range:(50, 400) ~seed ~n_tables () ))
+        seeds)
+    (List.init (max 0 (max_tables - 1)) (fun i -> i + 2))
+
+(* F2: one database, one scenario per cutoff of the local predicate. *)
+let local_sweep ?(cutoffs = [ 10; 25; 50; 100; 250; 1000; 10000 ]) () =
+  let rng = Datagen.Prng.create 7 in
+  let db = Catalog.Db.create () in
+  ignore
+    (Datagen.Tablegen.register (Datagen.Prng.split rng) db ~table:"r1"
+       ~rows:10000
+       [ Datagen.Tablegen.key_column "x" ~rows:10000 ]);
+  ignore
+    (Datagen.Tablegen.register (Datagen.Prng.split rng) db ~table:"r2"
+       ~rows:5000
+       [ Datagen.Tablegen.column "y" ~distinct:100 ]);
+  List.map
+    (fun cutoff ->
+      let query =
+        Query.make ~projection:Query.Count_star ~tables:[ "r1"; "r2" ]
+          [
+            Query.Predicate.col_eq (Query.Cref.v "r1" "x")
+              (Query.Cref.v "r2" "y");
+            Query.Predicate.cmp (Query.Cref.v "r1" "x") Rel.Cmp.Le
+              (Rel.Value.Int cutoff);
+          ]
+      in
+      (string_of_int cutoff, { Datagen.Workload.db; query; true_size = None }))
+    cutoffs
+
+(* F6: one chain and one star specimen per seed; chains get a ~25% local
+   range predicate on the first table's join column. Star dimension
+   fan-outs stay small so the true star result is executable across many
+   seeds. *)
+let mixed ?(seeds = List.init 8 (fun i -> i + 1)) () =
+  List.concat_map
+    (fun seed ->
+      let chain =
+        Datagen.Workload.chain ~rows_range:(100, 400) ~distinct_range:(20, 120)
+          ~seed ~n_tables:4 ()
+      in
+      let query = chain.Datagen.Workload.query in
+      let t1 = List.hd query.Query.tables in
+      let d =
+        Catalog.Table.distinct
+          (Catalog.Db.find_exn chain.Datagen.Workload.db t1)
+          "a"
+      in
+      let local =
+        Query.Predicate.cmp (Query.Cref.v t1 "a") Rel.Cmp.Le
+          (Rel.Value.Int (max 1 (d / 4)))
+      in
+      [
+        ( Printf.sprintf "chain-s%d" seed,
+          {
+            chain with
+            Datagen.Workload.query =
+              Query.with_predicates query (local :: query.Query.predicates);
+          } );
+        ( Printf.sprintf "star-s%d" seed,
+          Datagen.Workload.star ~fact_rows:1000 ~dim_rows_range:(50, 150)
+            ~distinct_range:(30, 100) ~seed ~n_dims:3 () );
+      ])
+    seeds
+
+(* F7: the same seed for every θ, so the scenarios differ only in the
+   join columns' skew. *)
+let zipf_join ?(rows = (20000, 10000)) ?(distinct = 500)
+    ?(thetas = [ 0.; 0.5; 1.0; 1.5 ]) () =
+  let rows1, rows2 = rows in
+  List.map
+    (fun theta ->
+      let rng = Datagen.Prng.create 19 in
+      let db = Catalog.Db.create () in
+      let distribution =
+        if theta = 0. then Datagen.Distribution.Random_uniform
+        else Datagen.Distribution.Zipf theta
+      in
+      List.iter
+        (fun (table, rows) ->
+          ignore
+            (Datagen.Tablegen.register (Datagen.Prng.split rng) db ~table ~rows
+               [ Datagen.Tablegen.column ~distribution "a" ~distinct ]))
+        [ ("r1", rows1); ("r2", rows2) ];
+      let query =
+        Query.make ~projection:Query.Count_star ~tables:[ "r1"; "r2" ]
+          [
+            Query.Predicate.col_eq (Query.Cref.v "r1" "a")
+              (Query.Cref.v "r2" "a");
+          ]
+      in
+      ( Report.float_cell theta,
+        { Datagen.Workload.db; query; true_size = None } ))
+    thetas
+
+(* --- aggregations --------------------------------------------------------- *)
+
+(* Groups in first-appearance order, each keeping its rows' order. *)
+let group_by key rows =
+  List.fold_left
+    (fun groups r ->
+      let k = key r in
+      if List.mem_assoc k groups then
+        List.map
+          (fun (k', rs) -> if k' = k then (k', r :: rs) else (k', rs))
+          groups
+      else (k, [ r ]) :: groups)
+    [] rows
+  |> List.rev_map (fun (k, rs) -> (k, List.rev rs))
+
+type growth = {
+  n_tables : int;
+  rule : string;
+  geo_mean_ratio : float;
+  worst_ratio : float;
+}
+
+let growth rows =
+  List.filter (fun r -> r.truth > 0.) rows
+  |> group_by (fun r -> (List.length r.join_order, r.estimator))
+  |> List.map (fun ((n_tables, rule), rs) ->
+         (* Latest seed first: the summation order of the log-sum is part
+            of the printed digits. *)
+         let ratios = List.rev_map (fun r -> r.estimate /. r.truth) rs in
+         let logs = List.map Float.log ratios in
+         {
+           n_tables;
+           rule;
+           geo_mean_ratio =
+             Float.exp
+               (List.fold_left ( +. ) 0. logs
+               /. float_of_int (List.length logs));
+           worst_ratio = List.fold_left Float.min Float.infinity ratios;
+         })
+
+let render_growth points =
+  Report.table
+    ~header:[ "#tables"; "rule"; "geo-mean est/true"; "worst est/true" ]
+    (List.map
+       (fun p ->
+         [
+           string_of_int p.n_tables;
+           p.rule;
+           Report.float_cell p.geo_mean_ratio;
+           Report.float_cell p.worst_ratio;
+         ])
+       points)
+
+type summary = {
+  algo : string;
+  queries : int;
+  median_q : float;
+  p90_q : float;
+  max_q : float;
+  underestimated : float;
+  infinite : int;
+  undefined : int;
+}
+
+let percentile sorted p =
+  match sorted with
+  | [||] -> nan
+  | arr ->
+    let n = Array.length arr in
+    let idx = int_of_float (Float.round (p *. float_of_int (n - 1))) in
+    arr.(max 0 (min (n - 1) idx))
+
+let summarize rows =
+  group_by (fun r -> r.algorithm) rows
+  |> List.map (fun (algo, rs) ->
+         let finite =
+           List.filter_map
+             (fun r -> match r.q with Finite q -> Some q | _ -> None)
+             rs
+         in
+         let count p = List.length (List.filter p rs) in
+         let infinite = count (fun r -> r.q = Infinite) in
+         let undefined = count (fun r -> r.q = Undefined) in
+         (* Undefined cases (empty truth, NaN) are excluded everywhere:
+            percentiles run over the finite q-errors only, the
+            underestimation share over queries where est vs truth is
+            meaningful. *)
+         let defined = List.length finite + infinite in
+         let unders =
+           count (fun r -> r.q <> Undefined && r.estimate < r.truth)
+         in
+         let sorted = Array.of_list finite in
+         Array.sort Float.compare sorted;
+         let n = Array.length sorted in
+         {
+           algo;
+           queries = n;
+           median_q = percentile sorted 0.5;
+           p90_q = percentile sorted 0.9;
+           max_q = (if n = 0 then nan else sorted.(n - 1));
+           underestimated =
+             (if defined = 0 then 0.
+              else float_of_int unders /. float_of_int defined);
+           infinite;
+           undefined;
+         })
+
+let render_summary summaries =
+  Report.table
+    ~header:
+      [
+        "algorithm"; "queries"; "median q"; "p90 q"; "max q"; "under-est %";
+        "inf"; "undef";
+      ]
+    (List.map
+       (fun s ->
+         [
+           s.algo;
+           string_of_int s.queries;
+           Report.float_cell s.median_q;
+           Report.float_cell s.p90_q;
+           Report.float_cell s.max_q;
+           Printf.sprintf "%.0f%%" (100. *. s.underestimated);
+           string_of_int s.infinite;
+           string_of_int s.undefined;
+         ])
+       summaries)
+
+let rows_of algorithm rows =
+  List.filter (fun r -> String.equal r.algorithm algorithm) rows
+
+let render_sweep rows =
+  Report.table
+    ~header:[ "x <= c"; "standard est"; "ELS est"; "true size" ]
+    (List.map2
+       (fun sm els ->
+         [
+           els.scenario;
+           Report.float_cell sm.estimate;
+           Report.float_cell els.estimate;
+           Printf.sprintf "%.0f" els.truth;
+         ])
+       (rows_of "SM+PTC" rows) (rows_of "ELS" rows))
+
+let render_zipf rows =
+  Report.table
+    ~header:[ "theta"; "uniform-model est"; "true size"; "est/true" ]
+    (List.map
+       (fun r ->
+         [
+           r.scenario;
+           Report.float_cell r.estimate;
+           Printf.sprintf "%.0f" r.truth;
+           (if r.truth = 0. then "-"
+            else Report.float_cell (r.estimate /. r.truth));
+         ])
+       (rows_of "ELS" rows))

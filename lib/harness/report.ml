@@ -2,6 +2,13 @@ let float_cell x = Printf.sprintf "%.4g" x
 
 let size_list xs = "(" ^ String.concat ", " (List.map float_cell xs) ^ ")"
 
+(* Display width in code points: every byte except a UTF-8 continuation
+   byte (0b10xxxxxx) starts a character. *)
+let width s =
+  String.fold_left
+    (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1)
+    0 s
+
 let table ~header rows =
   let n_cols =
     List.fold_left (fun acc row -> max acc (List.length row)) (List.length header)
@@ -14,7 +21,7 @@ let table ~header rows =
   let widths =
     List.init n_cols (fun j ->
         List.fold_left
-          (fun acc row -> max acc (String.length (List.nth row j)))
+          (fun acc row -> max acc (width (List.nth row j)))
           0 all)
   in
   (* Cells are padded to column width; the line's trailing blanks are
@@ -30,7 +37,7 @@ let table ~header rows =
     rtrim
       (String.concat " | "
          (List.map2
-            (fun cell w -> cell ^ String.make (w - String.length cell) ' ')
+            (fun cell w -> cell ^ String.make (w - width cell) ' ')
             row widths))
   in
   let rule =

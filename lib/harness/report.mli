@@ -2,7 +2,8 @@
 
 val table : header:string list -> string list list -> string
 (** Aligned, pipe-separated table with a header rule. Rows may be ragged;
-    short rows are padded with empty cells. *)
+    short rows are padded with empty cells. Cells are UTF-8: widths count
+    code points, not bytes, so a [⋈] takes one column. *)
 
 val float_cell : float -> string
 (** Compact scientific-ish rendering ([%.4g]) matching the paper's style

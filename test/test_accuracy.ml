@@ -1,40 +1,43 @@
 (* Tests for the q-error study and the enumerator/skew harness modules'
    aggregate claims. *)
 
+let mixed_summaries () =
+  Harness.Qpanel.(summarize (run (mixed ~seeds:[ 1; 2; 3 ] ())))
+
 let test_qerror_ordering () =
-  let summaries = Harness.Accuracy.run ~seeds:[ 1; 2; 3 ] () in
+  let summaries = mixed_summaries () in
   Alcotest.(check int) "one summary per registered estimator"
     (List.length (Els.Estimator.registry ()))
     (List.length summaries);
   let find name =
-    List.find (fun s -> String.equal s.Harness.Accuracy.algorithm name) summaries
+    List.find (fun s -> String.equal s.Harness.Qpanel.algo name) summaries
   in
   let els = find "ELS" and sm = find "SM+PTC" and sss = find "SSS" in
   (* ELS is at worst a small constant off; the others blow up. *)
-  Alcotest.(check bool) "ELS max q small" true (els.Harness.Accuracy.max_q < 10.);
+  Alcotest.(check bool) "ELS max q small" true (els.Harness.Qpanel.max_q < 10.);
   Alcotest.(check bool) "SSS worse than ELS" true
-    (sss.Harness.Accuracy.max_q > els.Harness.Accuracy.max_q);
+    (sss.Harness.Qpanel.max_q > els.Harness.Qpanel.max_q);
   Alcotest.(check bool) "SM worst" true
-    (sm.Harness.Accuracy.max_q > sss.Harness.Accuracy.max_q);
+    (sm.Harness.Qpanel.max_q > sss.Harness.Qpanel.max_q);
   List.iter
     (fun s ->
       Alcotest.(check bool) "median <= p90 <= max" true
-        (s.Harness.Accuracy.median_q <= s.Harness.Accuracy.p90_q +. 1e-9
-        && s.Harness.Accuracy.p90_q <= s.Harness.Accuracy.max_q +. 1e-9))
+        (s.Harness.Qpanel.median_q <= s.Harness.Qpanel.p90_q +. 1e-9
+        && s.Harness.Qpanel.p90_q <= s.Harness.Qpanel.max_q +. 1e-9))
     summaries
 
 let test_qerror_underestimation () =
-  let summaries = Harness.Accuracy.run ~seeds:[ 1; 2; 3 ] () in
+  let summaries = mixed_summaries () in
   (* The paper's diagnosis: rules M and SS systematically underestimate.
      (ELS does not; PESS is an upper-bound-style estimator, so neither
      belongs in this check.) *)
   List.iter
     (fun s ->
-      if List.mem s.Harness.Accuracy.algorithm [ "SM+PTC"; "SSS" ] then
+      if List.mem s.Harness.Qpanel.algo [ "SM+PTC"; "SSS" ] then
         Alcotest.(check bool)
-          (s.Harness.Accuracy.algorithm ^ " underestimates mostly")
+          (s.Harness.Qpanel.algo ^ " underestimates mostly")
           true
-          (s.Harness.Accuracy.underestimated >= 0.5))
+          (s.Harness.Qpanel.underestimated >= 0.5))
     summaries
 
 let test_enumerator_rows_complete () =
@@ -59,21 +62,27 @@ let test_enumerator_rows_complete () =
   Alcotest.(check bool) "dp <= random" true (cost "DP" <= cost "random" +. 1e-6)
 
 let test_skew_join_limits () =
-  let points =
-    Harness.Skew_join.run ~rows:(4000, 2000) ~distinct:200
-      ~thetas:[ 0.; 1.2 ] ()
+  let rows =
+    Harness.Qpanel.(
+      run (zipf_join ~rows:(4000, 2000) ~distinct:200 ~thetas:[ 0.; 1.2 ] ()))
   in
-  match points with
-  | [ uniform; skewed ] -> begin
-    (* Uniform data: the model is near-exact. Skewed data: systematic
-       underestimation, the boundary the paper's §9 describes. *)
-    match uniform.Harness.Skew_join.ratio, skewed.Harness.Skew_join.ratio with
-    | Some u, Some s ->
-      Alcotest.(check bool) "exact on uniform" true (Float.abs (u -. 1.) < 0.1);
-      Alcotest.(check bool) "underestimates under skew" true (s < 0.5)
-    | _ -> Alcotest.fail "expected nonempty true results"
-  end
-  | _ -> Alcotest.fail "expected two points"
+  let ratio theta =
+    let r =
+      List.find
+        (fun r ->
+          r.Harness.Qpanel.scenario = theta
+          && r.Harness.Qpanel.algorithm = "ELS")
+        rows
+    in
+    if r.Harness.Qpanel.truth = 0. then
+      Alcotest.fail "expected nonempty true results"
+    else r.Harness.Qpanel.estimate /. r.Harness.Qpanel.truth
+  in
+  (* Uniform data: the model is near-exact. Skewed data: systematic
+     underestimation, the boundary the paper's §9 describes. *)
+  Alcotest.(check bool) "exact on uniform" true
+    (Float.abs (ratio "0" -. 1.) < 0.1);
+  Alcotest.(check bool) "underestimates under skew" true (ratio "1.2" < 0.5)
 
 let suite =
   [

@@ -12,6 +12,36 @@ let test_config_names () =
   let custom = { Els.Config.els with Els.Config.single_table = false } in
   Alcotest.(check bool) "custom name descriptive" true
     (String.length (Els.Config.name custom) > 5);
+  (* Serve's explain/run responses carry these strings, so they are
+     pinned exactly. *)
+  Alcotest.(check (list string)) "panel names"
+    [ "SM+PTC"; "SSS"; "ELS"; "PESS"; "LP2"; "DEGSEQ"; "ENT" ]
+    (List.map Els.Config.name (Els.Config.panel ()));
+  Alcotest.(check string) "off-registry copy of M" "custom(rule=M,ptc)"
+    (Els.Config.name
+       (Els.Config.of_estimator
+          { Els.Estimator.m with Els.Estimator.id = "custom-m" }));
+  Alcotest.(check string) "SS under the ELS toggles"
+    "custom(rule=SS,ptc,local,1table)"
+    (Els.Config.name
+       (Els.Config.with_estimator Els.Estimator.ss Els.Config.els));
+  Alcotest.(check string) "ELS without single-table handling"
+    "custom(rule=LS,ptc,local)" (Els.Config.name custom);
+  Alcotest.(check string) "SM with local-awareness"
+    "custom(rule=M,local)"
+    (Els.Config.name
+       { (Els.Config.sm ~ptc:false) with Els.Config.local_aware = true });
+  Alcotest.(check string) "strict suffix" "ELS!strict"
+    (Els.Config.name
+       (Els.Config.with_strictness Els.Config.Strict Els.Config.els));
+  Alcotest.(check string) "trap suffix" "SM!trap"
+    (Els.Config.name
+       (Els.Config.with_strictness Els.Config.Trap (Els.Config.sm ~ptc:false)));
+  Alcotest.(check (list string)) "strict panel"
+    [ "SM+PTC!strict"; "SSS!strict"; "ELS!strict"; "PESS!strict";
+      "LP2!strict"; "DEGSEQ!strict"; "ENT!strict" ]
+    (List.map Els.Config.name
+       (Els.Config.panel ~strictness:Els.Config.Strict ()));
   Alcotest.(check string) "rule labels" "M/SS/LS"
     (String.concat "/"
        (List.map Els.Estimator.label Els.Estimator.[ m; ss; ls ]))

@@ -89,7 +89,15 @@ let test_registry () =
     (Els.Estimator.equal Els.Estimator.ls
        { Els.Estimator.ls with Els.Estimator.label = "renamed" });
   Alcotest.(check int) "ids are unique" (List.length ids)
-    (List.length (List.sort_uniq String.compare ids))
+    (List.length (List.sort_uniq String.compare ids));
+  (* Every canonical configuration closes the predicate set, so the F1
+     panel sees the redundant predicates without forcing closure on. *)
+  List.iter
+    (fun e ->
+      Alcotest.(check bool)
+        (Els.Estimator.id e ^ " closes by default")
+        true e.Els.Estimator.flags.Els.Estimator.closure)
+    (Els.Estimator.registry ())
 
 let test_of_string () =
   List.iter

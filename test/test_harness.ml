@@ -3,22 +3,39 @@
 
 let test_report_table () =
   let s =
-    Harness.Report.table ~header:[ "a"; "bb" ]
-      [ [ "1"; "2" ]; [ "333" ] (* ragged row gets padded *) ]
+    Harness.Report.table ~header:[ "a"; "bb"; "c" ]
+      [
+        [ "1"; "2" ];
+        [ "333" ] (* ragged row gets padded *);
+        [ "s ⋈ m ⋈ b"; "é"; "x" ] (* multibyte cells *);
+      ]
   in
   Alcotest.(check bool) "contains header" true
     (String.length s > 0 && String.sub s 0 1 = "a");
   let lines = String.split_on_char '\n' (String.trim s) in
-  Alcotest.(check int) "header + rule + 2 rows" 4 (List.length lines);
-  (* Columns align: every '|' of the header appears at the same offset in
-     the separator rule. *)
+  Alcotest.(check int) "header + rule + 3 rows" 5 (List.length lines);
+  (* Columns align by display column (code points, not bytes): every '|'
+     of every line sits where the separator rule has its '+'. *)
+  let columns_of ch line =
+    let col = ref 0 and found = ref [] in
+    String.iter
+      (fun c ->
+        if Char.code c land 0xC0 <> 0x80 then begin
+          if c = ch then found := !col :: !found;
+          incr col
+        end)
+      line;
+    List.rev !found
+  in
   match lines with
-  | header_line :: rule :: _ ->
-    String.iteri
-      (fun i ch ->
-        if ch = '|' then
-          Alcotest.(check char) "separator aligned" '+' rule.[i])
-      header_line
+  | header_line :: rule :: data ->
+    let pluses = columns_of '+' rule in
+    Alcotest.(check int) "two separators" 2 (List.length pluses);
+    List.iter
+      (fun line ->
+        Alcotest.(check (list int)) ("separators aligned: " ^ line) pluses
+          (columns_of '|' line))
+      (header_line :: data)
   | _ -> Alcotest.fail "missing rows"
 
 let test_report_cells () =
@@ -100,7 +117,9 @@ let test_examples_tables_consistency () =
   Helpers.check_float "card" 9. card
 
 let test_error_propagation_shape () =
-  let points = Harness.Error_propagation.run ~seeds:[ 1; 2 ] ~max_tables:4 () in
+  let points =
+    Harness.Qpanel.(growth (run (chains ~seeds:[ 1; 2 ] ~max_tables:4 ())))
+  in
   (* One point per registered estimator per size (2, 3 and 4 tables). *)
   Alcotest.(check int) "point count"
     (3 * List.length (Els.Estimator.registry ()))
@@ -109,28 +128,32 @@ let test_error_propagation_shape () =
      within a small constant factor. *)
   let find rule n =
     List.find
-      (fun p ->
-        p.Harness.Error_propagation.rule = rule
-        && p.Harness.Error_propagation.n_tables = n)
+      (fun p -> p.Harness.Qpanel.rule = rule && p.Harness.Qpanel.n_tables = n)
       points
   in
   Alcotest.(check bool) "M collapses" true
-    ((find "M" 4).Harness.Error_propagation.geo_mean_ratio < 1e-3);
+    ((find "M" 4).Harness.Qpanel.geo_mean_ratio < 1e-3);
   Alcotest.(check bool) "LS stays put" true
-    ((find "LS" 4).Harness.Error_propagation.geo_mean_ratio > 0.2)
+    ((find "LS" 4).Harness.Qpanel.geo_mean_ratio > 0.2)
 
 let test_local_sweep_shape () =
-  let points = Harness.Local_sweep.run ~cutoffs:[ 10; 100 ] () in
+  let rows = Harness.Qpanel.(run (local_sweep ~cutoffs:[ 10; 100 ] ())) in
+  let find algorithm scenario =
+    List.find
+      (fun r ->
+        r.Harness.Qpanel.algorithm = algorithm
+        && r.Harness.Qpanel.scenario = scenario)
+      rows
+  in
   List.iter
-    (fun p ->
+    (fun cutoff ->
+      let els = find "ELS" cutoff and standard = find "SM+PTC" cutoff in
       (* ELS is exact on this workload; the standard estimate is not. *)
-      Helpers.check_float ~eps:1e-6 "ELS exact"
-        (float_of_int p.Harness.Local_sweep.true_size)
-        p.Harness.Local_sweep.els_est;
+      Helpers.check_float ~eps:1e-6 "ELS exact" els.Harness.Qpanel.truth
+        els.Harness.Qpanel.estimate;
       Alcotest.(check bool) "standard underestimates" true
-        (p.Harness.Local_sweep.standard_est
-        < float_of_int p.Harness.Local_sweep.true_size))
-    points
+        (standard.Harness.Qpanel.estimate < standard.Harness.Qpanel.truth))
+    [ "10"; "100" ]
 
 let small_chain ~seed ~n_tables =
   Datagen.Workload.chain ~rows_range:(20, 60) ~distinct_range:(5, 20) ~seed
@@ -158,7 +181,7 @@ let test_qpanel_shape () =
   Alcotest.(check bool) "chains pass" true (Harness.Qpanel.pass rows);
   Alcotest.(check bool) "empty panel fails" false (Harness.Qpanel.pass []);
   let broken =
-    { (List.hd rows) with Harness.Qpanel.q = Harness.Accuracy.Infinite }
+    { (List.hd rows) with Harness.Qpanel.q = Harness.Qpanel.Infinite }
   in
   Alcotest.(check bool) "infinite q-error fails" false
     (Harness.Qpanel.pass (broken :: rows))
@@ -187,13 +210,51 @@ let test_qpanel_one_table () =
       let label = r.Harness.Qpanel.estimator in
       Alcotest.(check (list (float 0.))) (label ^ ": no join steps") []
         r.Harness.Qpanel.estimates;
+      Alcotest.(check (list (float 0.))) (label ^ ": no join truths") []
+        r.Harness.Qpanel.truths;
       Alcotest.(check (float 0.)) (label ^ ": truth") rows_of_t1
         r.Harness.Qpanel.truth;
       Alcotest.(check (float 0.)) (label ^ ": estimate = table rows")
         rows_of_t1 r.Harness.Qpanel.estimate;
       Alcotest.(check bool) (label ^ ": finite q-error") true
-        (r.Harness.Qpanel.q = Harness.Accuracy.Finite 1.))
+        (r.Harness.Qpanel.q = Harness.Qpanel.Finite 1.))
     rows
+
+(* Multi-table rows carry the executed size after every join, and the
+   final truth is the whole query's — the last prefix. *)
+let test_qpanel_truths () =
+  let scenarios =
+    [
+      ("three", small_chain ~seed:4 ~n_tables:3);
+      ("four", small_chain ~seed:5 ~n_tables:4);
+    ]
+    @ Harness.Qpanel.section8 ~scale:20
+  in
+  let rows = Harness.Qpanel.run scenarios in
+  List.iter
+    (fun (name, spec) ->
+      let db = spec.Datagen.Workload.db in
+      let query = spec.Datagen.Workload.query in
+      let want = Harness.Runner.true_prefix_sizes db query query.Query.tables in
+      let whole =
+        float_of_int (Exec.Executor.run_query db query).Exec.Executor.row_count
+      in
+      Alcotest.(check (float 0.)) (name ^ ": last prefix = whole query") whole
+        (List.nth want (List.length want - 1));
+      List.iter
+        (fun r ->
+          if r.Harness.Qpanel.scenario = name then begin
+            let label = name ^ "/" ^ r.Harness.Qpanel.estimator in
+            Alcotest.(check (list (float 0.))) (label ^ ": truths") want
+              r.Harness.Qpanel.truths;
+            Alcotest.(check (float 0.)) (label ^ ": truth is the last")
+              whole r.Harness.Qpanel.truth;
+            Alcotest.(check int) (label ^ ": one truth per estimate")
+              (List.length r.Harness.Qpanel.estimates)
+              (List.length r.Harness.Qpanel.truths)
+          end)
+        rows)
+    scenarios
 
 let suite =
   [
@@ -212,4 +273,5 @@ let suite =
     Alcotest.test_case "qpanel: shape and pass" `Quick test_qpanel_shape;
     Alcotest.test_case "qpanel: one-table scenario" `Quick
       test_qpanel_one_table;
+    Alcotest.test_case "qpanel: per-step truths" `Quick test_qpanel_truths;
   ]
